@@ -14,8 +14,8 @@ workload and algorithms as ``bench_sim_engines.py``) in four modes —
 and pins the disabled overhead below 2% against the pre-observability
 engine.  Two baseline sources, in order of rigor:
 
-* ``--paired-baseline SRC`` — a ``src/`` tree of the pre-observability
-  package (e.g. a detached worktree of the previous release).  It is
+* ``--paired-baseline SRC`` — a ``src/`` tree of an earlier release that
+  has both engines (e.g. a detached worktree of the previous release).  It is
   imported under an alias and the two engines are timed *interleaved*,
   round by round, in one process; the per-round ratio pairs cancel
   machine-load drift, so this is the measurement the pin trusts.
@@ -47,15 +47,15 @@ for path in (_HERE, _HERE.parent / "src"):
         sys.path.insert(0, str(path))
 
 from repro.datasets import load_dataset  # noqa: E402
-from repro.forwarding import ForwardingSimulator, PoissonMessageWorkload  # noqa: E402
+from repro.forwarding import PoissonMessageWorkload  # noqa: E402
 from repro.forwarding.algorithms import algorithm_by_name  # noqa: E402
 from repro.obs import EngineTelemetry, JsonlTracer, RecordingTracer  # noqa: E402
-from repro.sim import DesSimulator  # noqa: E402
+from repro.sim import DesSimulator, VectorSimulator  # noqa: E402
 
 DEFAULT_BENCHMARK_JSON = _HERE.parent / "BENCH_obs.json"
 DEFAULT_BASELINE_JSON = _HERE.parent / "BENCH_sim.json"
 ALGORITHMS = ("Epidemic", "Greedy", "Dynamic Programming")
-ENGINES = {"trace": ForwardingSimulator, "des": DesSimulator}
+ENGINES = {"vector": VectorSimulator, "des": DesSimulator}
 
 
 def _time_runs(factory, repeats: int) -> list:
@@ -172,7 +172,8 @@ def main() -> None:
                              "against (default: repo root)")
     parser.add_argument("--paired-baseline", type=Path, default=None,
                         metavar="SRC",
-                        help="src/ tree of the pre-observability package; "
+                        help="src/ tree of an earlier release with both "
+                             "engines; "
                              "enables interleaved paired timing (the "
                              "load-proof pin measurement)")
     args = parser.parse_args()
@@ -197,7 +198,7 @@ def main() -> None:
         assert len(old_messages) == len(messages), \
             "baseline package drew a different workload"
         old_engines = {
-            "trace": lambda name: old.forwarding.ForwardingSimulator(
+            "vector": lambda name: old.sim.VectorSimulator(
                 old_trace, old.forwarding.algorithms.algorithm_by_name(name)),
             "des": lambda name: old.sim.DesSimulator(
                 old_trace, old.forwarding.algorithms.algorithm_by_name(name)),
@@ -256,7 +257,7 @@ def main() -> None:
                     pooled_candidate += min(comparison["candidate_s"])
                     pooled_baseline += min(comparison["baseline_s"])
                 else:
-                    baseline_key = {"trace": "trace_driven",
+                    baseline_key = {"vector": "vector",
                                     "des": "des_unconstrained"}[engine_name]
                     baseline_entry = (baseline or {}).get(name, {})
                     # best-of-N against best-of-N: the min is the classic

@@ -2,8 +2,9 @@
 """Benchmark: the protocol zoo on the paper dataset stand-ins.
 
 Times one Poisson-workload replay of every registered protocol (the paper
-six through the compatibility wrapper plus the stateful zoo) in both
-engines on the benchmark-scale primary dataset, and records the delivery /
+six through the compatibility wrapper plus the stateful zoo) on the vector
+kernel and the unconstrained DES engine on the benchmark-scale primary
+dataset, and records the delivery /
 overhead profile (success rate, copies per delivery) so the routing
 subsystem's perf *and* quality trajectory is tracked across PRs.  Medians
 are written to ``BENCH_routing.json`` at the repo root::
@@ -28,9 +29,9 @@ for path in (_HERE, _HERE.parent / "src"):
         sys.path.insert(0, str(path))
 
 from repro.datasets import load_dataset  # noqa: E402
-from repro.forwarding import ForwardingSimulator, PoissonMessageWorkload  # noqa: E402
+from repro.forwarding import PoissonMessageWorkload  # noqa: E402
 from repro.routing import protocol_by_name, protocol_names  # noqa: E402
-from repro.sim import DesSimulator  # noqa: E402
+from repro.sim import DesSimulator, VectorSimulator  # noqa: E402
 
 DEFAULT_BENCHMARK_JSON = _HERE.parent / "BENCH_routing.json"
 
@@ -62,29 +63,29 @@ def main() -> None:
 
     records = {}
     for name in protocol_names():
-        trace_samples = _time_runs(
-            lambda: ForwardingSimulator(trace, protocol_by_name(name)).run(messages),
+        vector_samples = _time_runs(
+            lambda: VectorSimulator(trace, protocol_by_name(name)).run(messages),
             repeats)
         des_samples = _time_runs(
             lambda: DesSimulator(trace, protocol_by_name(name)).run(messages),
             repeats)
-        result = ForwardingSimulator(trace, protocol_by_name(name)).run(messages)
+        result = VectorSimulator(trace, protocol_by_name(name)).run(messages)
         summary = result.summary()
-        trace_median = statistics.median(trace_samples)
+        vector_median = statistics.median(vector_samples)
         des_median = statistics.median(des_samples)
         records[name] = {
-            "trace_driven_s": trace_median,
+            "vector_s": vector_median,
             "des_unconstrained_s": des_median,
             "success_rate": summary["success_rate"],
             "copies_sent": summary["copies_sent"],
             "copies_per_delivery": summary["copies_per_delivery"],
             "samples": {
-                "trace_driven": trace_samples,
+                "vector": vector_samples,
                 "des_unconstrained": des_samples,
             },
         }
         overhead = summary["copies_per_delivery"]
-        print(f"  {name:<22s} trace {trace_median * 1e3:8.1f} ms   "
+        print(f"  {name:<22s} vector {vector_median * 1e3:8.1f} ms   "
               f"des {des_median * 1e3:8.1f} ms   "
               f"success {summary['success_rate']:5.2f}   "
               f"copies/delivery "

@@ -13,9 +13,9 @@ are thin adapters over it (byte-identical to their historical outputs), and
 with resumable, incrementally extensible runs.
 
 Attributes are loaded lazily (PEP 562) so that low-level modules — e.g.
-:mod:`repro.analysis.parallel`, which re-exports the shared pool backend —
-can import :mod:`repro.exp.pool` without dragging in the whole simulation
-stack.
+:mod:`repro.analysis.experiments`, which fans out over the shared pool
+backend — can import :mod:`repro.exp.pool` without dragging in the whole
+simulation stack.
 """
 
 from __future__ import annotations

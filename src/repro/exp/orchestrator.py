@@ -27,7 +27,8 @@ from ..forwarding.messages import Message
 from ..obs.telemetry import EngineTelemetry, ObsConfig, PhaseTimers, write_metrics_json
 from ..obs.tracing import JsonlTracer
 from ..routing.registry import protocol_by_name
-from ..sim.engine import ConstrainedSimulationResult, DesSimulator, ResourceStats
+from ..sim.engine import ConstrainedSimulationResult, DesSimulator
+from ..sim.vector import VectorSimulator
 from .executor import FaultPolicy, JobFailure, resilient_map
 from .plan import ExperimentPlan, PlannedJob, build_plan
 from .pool import process_map
@@ -85,36 +86,15 @@ def _run_exp_job(payload: _JobPayload) -> ConstrainedSimulationResult:
             messages_cache[messages_key] = messages
     tracer = JsonlTracer(trace_path) if trace_path else None
     telemetry = EngineTelemetry() if want_telemetry else None
+    # "trace" is the idealized model, which the plan guarantees by
+    # rejecting constrained grid points; the vector kernel replays it
+    engine_class = DesSimulator if engine == "des" else VectorSimulator
     try:
-        if engine == "trace":
-            from ..forwarding.simulator import ForwardingSimulator
-
-            ideal = ForwardingSimulator(
-                trace, protocol_by_name(protocol),
-                copy_semantics=scenario.copy_semantics,
-                tracer=tracer, telemetry=telemetry).run(messages)
-            result = ConstrainedSimulationResult(
-                algorithm=ideal.algorithm, trace_name=ideal.trace_name,
-                constraints=scenario.constraints,
-                stats=ResourceStats(copies_sent=ideal.copies_sent or 0),
-                copies_sent=ideal.copies_sent)
-            result.outcomes.extend(ideal.outcomes)
-        elif engine == "vector":
-            from ..sim.vector import VectorSimulator
-
-            simulator = VectorSimulator(trace, protocol_by_name(protocol),
-                                        constraints=scenario.constraints,
-                                        copy_semantics=scenario.copy_semantics,
-                                        seed=scenario.seed,
-                                        tracer=tracer, telemetry=telemetry)
-            result = simulator.run(messages)
-        else:
-            simulator = DesSimulator(trace, protocol_by_name(protocol),
-                                     constraints=scenario.constraints,
-                                     copy_semantics=scenario.copy_semantics,
-                                     seed=scenario.seed,
-                                     tracer=tracer, telemetry=telemetry)
-            result = simulator.run(messages)
+        result = engine_class(trace, protocol_by_name(protocol),
+                              constraints=scenario.constraints,
+                              copy_semantics=scenario.copy_semantics,
+                              seed=scenario.seed, tracer=tracer,
+                              telemetry=telemetry).run(messages)
     finally:
         if tracer is not None:
             tracer.close()

@@ -234,9 +234,8 @@ def build_plan(spec: ExperimentSpec,
             if spec.engine == "trace" and (
                     not constraints.is_unconstrained
                     or constraints.message_size is not None):
-                # the trace-driven simulator ignores every constraint,
-                # message sizes included — a constrained (or size-swept)
-                # grid point would silently be idealized
+                # 'trace' names the idealized model; a constrained (or
+                # size-swept) grid point is not that model
                 raise ValueError(
                     "the 'trace' engine is idealized; constrained grid "
                     "points (including message_size) need engine='des'")

@@ -12,9 +12,6 @@ consecutive grid jobs land on the same worker and hit its caches.
 Environments that forbid spawning processes (restricted sandboxes, some
 embedded interpreters) degrade gracefully: if the pool cannot be created the
 work runs serially in the parent with identical results.
-
-:mod:`repro.analysis.parallel` re-exports these helpers for backwards
-compatibility.
 """
 
 from __future__ import annotations

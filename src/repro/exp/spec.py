@@ -46,9 +46,10 @@ from ..sim.scenarios import Scenario, get_scenario
 __all__ = ["ENGINES", "ExperimentSpec", "SweepAxis", "constraints_to_dict"]
 
 #: Supported simulation engines: the resource-constrained DES engine, the
-#: idealized trace-driven simulator (unconstrained runs only), and the
-#: array-native vector kernel (delivery-stream-equivalent to ``des``, built
-#: for 10k+-node scenarios; bandwidth/fault configurations delegate to des).
+#: idealized model (unconstrained runs only, replayed by the vector kernel),
+#: and the array-native vector kernel (delivery-stream-equivalent to
+#: ``des``, built for 10k+-node scenarios; bandwidth/fault configurations
+#: delegate to des).
 ENGINES = ("des", "trace", "vector")
 
 
@@ -130,10 +131,12 @@ class ExperimentSpec:
     sweep:
         Optional :class:`SweepAxis` gridded on top of the base constraints.
     engine:
-        ``"des"`` (default), ``"trace"`` (idealized trace-driven
-        simulator; requires unconstrained grid points), or ``"vector"``
-        (array-native kernel, delivery-stream-equivalent to ``des`` and an
-        order of magnitude faster on city-scale scenarios).
+        ``"des"`` (default), ``"vector"`` (array-native kernel,
+        delivery-stream-equivalent to ``des`` and an order of magnitude
+        faster on city-scale scenarios), or ``"trace"`` (the paper's
+        idealized model: requires unconstrained grid points and runs on
+        the vector kernel; kept as its own value so existing specs and job
+        hashes stay valid).
     copy_semantics:
         ``"copy"`` / ``"handoff"`` override; ``None`` uses each scenario's.
     """

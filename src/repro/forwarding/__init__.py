@@ -22,7 +22,8 @@ from .metrics import (
     summarize,
     summarize_by_pair_type,
 )
-from .simulator import DeliveryOutcome, ForwardingSimulator, SimulationResult, simulate
+from .results import DeliveryOutcome, SimulationResult
+from .simulator import ForwardingSimulator, simulate
 
 __all__ = [
     "DynamicProgrammingForwarding",

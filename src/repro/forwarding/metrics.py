@@ -25,7 +25,8 @@ from ..contacts import ContactTrace
 from ..core.pair_types import PairType, RateClassification, classify_nodes
 from .algorithms import ForwardingAlgorithm
 from .messages import Message, PoissonMessageWorkload
-from .simulator import DeliveryOutcome, ForwardingSimulator, SimulationResult
+from .results import DeliveryOutcome, SimulationResult
+from .simulator import ForwardingSimulator
 
 __all__ = [
     "PerformanceSummary",

@@ -1,4 +1,4 @@
-"""Trace-driven forwarding simulator (Section 6.1 of the paper).
+"""Trace-driven forwarding simulation (Section 6.1 of the paper).
 
 The simulator replays a contact trace in time order and lets a forwarding
 algorithm decide, at every contact, whether the encountered node should
@@ -20,187 +20,29 @@ propagation stops once the message is delivered, which does not affect any
 reported metric but keeps large epidemic simulations fast; pass
 ``stop_on_delivery=False`` to keep flooding after delivery.
 
-Implementation notes
---------------------
-Node ids are interned to dense integers for the duration of a run (via the
-same :class:`~repro.core.fastpath.NodeInterner` the enumeration engine
-uses), which buys two structural speedups over a naive replay:
-
-* each node keeps an index of the message ids it currently carries, so a new
-  contact only iterates the carrier's own messages instead of scanning every
-  message in the system;
-* the ``ever_held`` relation — consulted on every transfer attempt — is one
-  int bitmask per message instead of a set of node ids.
+These are the semantics of the resource-constrained engines of
+:mod:`repro.sim` with every constraint disabled and no message expiring,
+so the replay itself is the array-native kernel
+:class:`~repro.sim.vector.VectorSimulator` fixed to
+:data:`~repro.sim.engine.UNCONSTRAINED`.
 """
 
 from __future__ import annotations
 
-import statistics
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from dataclasses import replace
+from typing import Sequence, Union
 
-from ..contacts import Contact, ContactTrace, NodeId
-from ..core.fastpath import NodeInterner
+from ..contacts import ContactTrace
+from ..routing.base import RoutingProtocol
+from ..sim.vector import VectorSimulator
 from .algorithms import ForwardingAlgorithm
-from .history import OnlineContactHistory
 from .messages import Message
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
-    from ..routing.base import RoutingProtocol
+from .results import DeliveryOutcome, SimulationResult
 
 __all__ = ["DeliveryOutcome", "SimulationResult", "ForwardingSimulator", "simulate"]
 
 
-@dataclass(frozen=True)
-class DeliveryOutcome:
-    """Outcome of a single message under one algorithm."""
-
-    message: Message
-    delivered: bool
-    delivery_time: Optional[float]
-    hop_count: Optional[int]
-
-    @property
-    def delay(self) -> Optional[float]:
-        """Delivery delay in seconds, or None if not delivered."""
-        if not self.delivered or self.delivery_time is None:
-            return None
-        return self.delivery_time - self.message.creation_time
-
-
-@dataclass
-class SimulationResult:
-    """All outcomes of one simulation run.
-
-    ``copies_sent`` counts every successful transfer of a message copy
-    between two nodes, delivery hops included (one message creation is not a
-    copy).  It is ``None`` on results that predate the counter or that were
-    merged from runs without it.
-    """
-
-    algorithm: str
-    trace_name: str
-    outcomes: List[DeliveryOutcome] = field(default_factory=list)
-    copies_sent: Optional[int] = None
-    # (number of outcomes indexed, id -> outcome); see outcome_for
-    _outcome_index: Optional[Tuple[int, Dict[int, DeliveryOutcome]]] = field(
-        default=None, init=False, repr=False, compare=False)
-
-    @property
-    def num_messages(self) -> int:
-        return len(self.outcomes)
-
-    @property
-    def num_delivered(self) -> int:
-        return sum(1 for o in self.outcomes if o.delivered)
-
-    def success_rate(self) -> float:
-        """Fraction of messages delivered (the paper's S_A)."""
-        if not self.outcomes:
-            return 0.0
-        return self.num_delivered / len(self.outcomes)
-
-    def delays(self) -> List[float]:
-        """Delays of the delivered messages."""
-        return [o.delay for o in self.outcomes if o.delivered and o.delay is not None]
-
-    def average_delay(self) -> Optional[float]:
-        """Mean delivery delay over delivered messages (the paper's D_A)."""
-        delays = self.delays()
-        if not delays:
-            return None
-        return sum(delays) / len(delays)
-
-    def summary(self) -> Dict[str, object]:
-        """Headline metrics as one flat dict (for tables, examples, the CLI).
-
-        Keys: ``algorithm``, ``trace``, ``num_messages``, ``num_delivered``,
-        ``success_rate``, ``mean_delay_s``, ``median_delay_s``,
-        ``copies_sent`` and ``copies_per_delivery``; delay and copy entries
-        are ``None`` when nothing was delivered / no counter is available.
-        """
-        delays = self.delays()
-        delivered = self.num_delivered
-        mean_delay = self.average_delay()
-        median_delay = statistics.median(delays) if delays else None
-        copies = self.copies_sent
-        return {
-            "algorithm": self.algorithm,
-            "trace": self.trace_name,
-            "num_messages": self.num_messages,
-            "num_delivered": delivered,
-            "success_rate": self.success_rate(),
-            "mean_delay_s": mean_delay,
-            "median_delay_s": median_delay,
-            "copies_sent": copies,
-            "copies_per_delivery": (copies / delivered
-                                    if copies is not None and delivered else None),
-        }
-
-    def outcome_for(self, message_id: int) -> Optional[DeliveryOutcome]:
-        """The outcome of one message, by id (O(1) after the first call).
-
-        The id → outcome index is built lazily and rebuilt whenever the
-        length of :attr:`outcomes` has changed since it was built; should
-        ids ever collide, the first occurrence wins, matching a front-to-back
-        scan.  (Replacing an outcome in place without changing the list
-        length is not detected — treat a populated result as read-only.)
-        """
-        cached = self._outcome_index
-        if cached is None or cached[0] != len(self.outcomes):
-            index: Dict[int, DeliveryOutcome] = {}
-            for outcome in self.outcomes:
-                index.setdefault(outcome.message.id, outcome)
-            self._outcome_index = cached = (len(self.outcomes), index)
-        return cached[1].get(message_id)
-
-
-# ----------------------------------------------------------------------
-# event encoding: (time, priority, sequence, payload)
-# priority orders simultaneous events: contact starts first (so zero-duration
-# contacts are opened, exchanged over, and then closed rather than being
-# closed before they open), then contact ends, then message creations (a
-# message created the instant a contact ends does not see it as active,
-# matching the half-open [start, end) contact semantics).
-# ----------------------------------------------------------------------
-_START, _END, _CREATE = 0, 1, 2
-
-#: event-kind names for telemetry (the DES engine has its own richer set)
-_KIND_NAMES = {_START: "contact_start", _END: "contact_end",
-               _CREATE: "create"}
-
-
-class _RunState:
-    """Mutable per-run simulation state over interned node indices."""
-
-    __slots__ = ("interner", "node_of", "active_counts", "active_peers",
-                 "holdings", "carried", "ever_held", "delivered", "dest_index",
-                 "copies_sent")
-
-    def __init__(self, interner: NodeInterner, messages: Sequence[Message]) -> None:
-        self.interner = interner
-        self.node_of = interner.nodes
-        num_nodes = len(interner)
-        # reference counts for (possibly overlapping) contacts per pair
-        self.active_counts: Dict[Tuple[int, int], int] = {}
-        self.active_peers: List[Set[int]] = [set() for _ in range(num_nodes)]
-        # holdings[message_id][node_index] = (receive_time, hop_count)
-        self.holdings: Dict[int, Dict[int, Tuple[float, int]]] = {}
-        # carried[node_index] = message ids the node currently holds
-        self.carried: List[Set[int]] = [set() for _ in range(num_nodes)]
-        # ever_held[message_id] = bitmask of node indices that carried the
-        # message at some point; a node never re-receives such a message (in
-        # hand-off mode this is what prevents ping-ponging within a contact).
-        self.ever_held: Dict[int, int] = {}
-        self.delivered: Dict[int, Tuple[float, int]] = {}
-        self.copies_sent = 0
-        index_of = interner.index_of
-        self.dest_index: Dict[int, int] = {
-            m.id: index_of(m.destination) for m in messages
-        }
-
-
-class ForwardingSimulator:
+class ForwardingSimulator(VectorSimulator):
     """Replay a trace under one forwarding algorithm.
 
     Parameters
@@ -227,8 +69,6 @@ class ForwardingSimulator:
     tracer:
         Optional structured-event probe (any object with
         ``emit(event, time, **fields)``; see :mod:`repro.obs.tracing`).
-        ``None`` (the default) keeps the hot path allocation-free — every
-        probe site is a single ``is not None`` check.
     telemetry:
         Optional :class:`repro.obs.EngineTelemetry` collecting event
         counts and wall-clock for the run.  ``None`` disables it.
@@ -237,222 +77,40 @@ class ForwardingSimulator:
     def __init__(
         self,
         trace: ContactTrace,
-        algorithm: Union[ForwardingAlgorithm, "RoutingProtocol"],
+        algorithm: Union[ForwardingAlgorithm, RoutingProtocol],
         copy_semantics: str = "copy",
         stop_on_delivery: bool = True,
         tracer=None,
         telemetry=None,
     ) -> None:
-        from ..routing.compat import ensure_protocol
+        super().__init__(trace, algorithm, copy_semantics=copy_semantics,
+                         stop_on_delivery=stop_on_delivery, tracer=tracer,
+                         telemetry=telemetry)
 
-        if copy_semantics not in ("copy", "handoff"):
-            raise ValueError("copy_semantics must be 'copy' or 'handoff'")
-        self._trace = trace
-        self._protocol = ensure_protocol(algorithm)
-        self._copy = copy_semantics == "copy"
-        self._stop_on_delivery = stop_on_delivery
-        self._tracer = tracer
-        self._telemetry = telemetry
-
-    # ------------------------------------------------------------------
     def run(self, messages: Sequence[Message]) -> SimulationResult:
-        """Simulate the delivery of *messages* and return the outcomes."""
-        for message in messages:
-            if message.source not in self._trace.nodes:
-                raise ValueError(f"message {message.id}: unknown source {message.source}")
-            if message.destination not in self._trace.nodes:
-                raise ValueError(
-                    f"message {message.id}: unknown destination {message.destination}"
-                )
-        self._protocol.prepare(self._trace)
+        """Simulate the delivery of *messages* and return the outcomes.
 
-        interner = NodeInterner(self._trace.nodes)
-        index_of = interner.index_of
-        state = _RunState(interner, messages)
-        history = OnlineContactHistory()
-        by_id: Dict[int, Message] = {m.id: m for m in messages}
-
-        events: List[Tuple[float, int, int, object]] = []
-        sequence = 0
-        for contact in self._trace:
-            payload = (contact, index_of(contact.a), index_of(contact.b))
-            events.append((contact.start, _START, sequence, payload))
-            sequence += 1
-            events.append((max(contact.end, contact.start), _END, sequence, payload))
-            sequence += 1
-        for message in messages:
-            events.append((message.creation_time, _CREATE, sequence, message))
-            sequence += 1
-        events.sort(key=lambda e: (e[0], e[1], e[2]))
-
-        protocol = self._protocol
-        tracer = self._tracer
-        telemetry = self._telemetry
-        if telemetry is not None:
-            telemetry.begin(engine="trace", algorithm=protocol.name)
-        for time, kind, _, payload in events:
-            if kind == _END:
-                contact, a, b = payload  # type: ignore[misc]
-                if tracer is not None:
-                    tracer.emit("contact_end", time, a=contact.a, b=contact.b)
-                self._close_contact(state, a, b)
-                protocol.on_contact_end(contact.a, contact.b, time, history)
-            elif kind == _START:
-                contact, a, b = payload  # type: ignore[misc]
-                if tracer is not None:
-                    tracer.emit("contact_start", time, a=contact.a,
-                                b=contact.b)
-                history.record(contact.a, contact.b, time)
-                protocol.on_contact_start(contact.a, contact.b, time, history)
-                self._open_contact(state, a, b)
-                self._exchange_on_contact(state, a, b, time, history, by_id)
-            else:  # _CREATE
-                message = payload  # type: ignore[assignment]
-                if tracer is not None:
-                    tracer.emit("create", time, msg=message.id,
-                                src=message.source, dst=message.destination)
-                protocol.on_message_created(message, time)
-                source = index_of(message.source)
-                state.holdings[message.id] = {source: (time, 0)}
-                state.carried[source].add(message.id)
-                state.ever_held[message.id] = 1 << source
-                self._cascade(state, message, source, time, history)
-            if telemetry is not None:
-                telemetry.event(_KIND_NAMES[kind])
-        if telemetry is not None:
-            telemetry.finish()
-
-        outcomes = []
-        for message in messages:
-            if message.id in state.delivered:
-                delivery_time, hops = state.delivered[message.id]
-                outcomes.append(DeliveryOutcome(message=message, delivered=True,
-                                                delivery_time=delivery_time,
-                                                hop_count=hops))
-            else:
-                outcomes.append(DeliveryOutcome(message=message, delivered=False,
-                                                delivery_time=None, hop_count=None))
-        return SimulationResult(algorithm=self._protocol.name,
-                                trace_name=self._trace.name, outcomes=outcomes,
-                                copies_sent=state.copies_sent)
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _open_contact(state: _RunState, a: int, b: int) -> None:
-        pair = (a, b) if a <= b else (b, a)
-        state.active_counts[pair] = state.active_counts.get(pair, 0) + 1
-        state.active_peers[a].add(b)
-        state.active_peers[b].add(a)
-
-    @staticmethod
-    def _close_contact(state: _RunState, a: int, b: int) -> None:
-        pair = (a, b) if a <= b else (b, a)
-        remaining = state.active_counts.get(pair, 0) - 1
-        if remaining <= 0:
-            state.active_counts.pop(pair, None)
-            state.active_peers[a].discard(b)
-            state.active_peers[b].discard(a)
-        else:
-            state.active_counts[pair] = remaining
-
-    # ------------------------------------------------------------------
-    def _exchange_on_contact(
-        self,
-        state: _RunState,
-        a: int,
-        b: int,
-        time: float,
-        history: OnlineContactHistory,
-        by_id: Dict[int, Message],
-    ) -> None:
-        """Both endpoints of a new contact offer each other their messages."""
-        for carrier, peer in ((a, b), (b, a)):
-            for message_id in list(state.carried[carrier]):
-                self._try_transfer(state, by_id[message_id], carrier, peer,
-                                   time, history)
-
-    def _cascade(
-        self,
-        state: _RunState,
-        message: Message,
-        start_node: int,
-        time: float,
-        history: OnlineContactHistory,
-    ) -> None:
-        """Propagate a freshly received message over currently active contacts."""
-        frontier = [start_node]
-        while frontier:
-            node = frontier.pop()
-            for peer in list(state.active_peers[node]):
-                moved = self._try_transfer(state, message, node, peer, time,
-                                           history, cascade=False)
-                if moved:
-                    frontier.append(peer)
-
-    def _try_transfer(
-        self,
-        state: _RunState,
-        message: Message,
-        carrier: int,
-        peer: int,
-        time: float,
-        history: OnlineContactHistory,
-        cascade: bool = True,
-    ) -> bool:
-        """Attempt to move *message* from *carrier* to *peer* at *time*.
-
-        Returns True if the peer newly received a copy (delivery included).
+        The idealized model has no expiry, so a message's own ``ttl`` is
+        ignored, and the result is a plain :class:`SimulationResult`: there
+        is no resource accounting to report.
         """
-        holders = state.holdings.get(message.id)
-        if holders is None or carrier not in holders:
-            return False
-        if message.id in state.delivered and self._stop_on_delivery:
-            return False
-        if state.ever_held[message.id] >> peer & 1:
-            return False
-        receive_time, hops = holders[carrier]
-        if time < receive_time:
-            return False
-        # Minimal progress: contact with the destination always delivers.
-        if peer == state.dest_index[message.id]:
-            holders[peer] = (time, hops + 1)
-            state.carried[peer].add(message.id)
-            state.ever_held[message.id] |= 1 << peer
-            state.copies_sent += 1
-            if message.id not in state.delivered:
-                state.delivered[message.id] = (time, hops + 1)
-                self._protocol.on_delivered(message, time)
-                if self._tracer is not None:
-                    self._tracer.emit(
-                        "deliver", time, msg=message.id,
-                        node=state.node_of[peer], hops=hops + 1,
-                        delay=time - message.creation_time,
-                        src=state.node_of[carrier])
-            return True
-        node_of = state.node_of
-        if not self._protocol.should_forward(node_of[carrier], node_of[peer],
-                                             message, time, history):
-            return False
-        holders[peer] = (time, hops + 1)
-        state.carried[peer].add(message.id)
-        state.ever_held[message.id] |= 1 << peer
-        state.copies_sent += 1
-        self._protocol.on_forwarded(message, node_of[carrier], node_of[peer], time)
-        if self._tracer is not None:
-            self._tracer.emit("forward", time, msg=message.id,
-                              src=node_of[carrier], dst=node_of[peer],
-                              hops=hops + 1)
-        if not self._copy:
-            holders.pop(carrier, None)
-            state.carried[carrier].discard(message.id)
-        if cascade:
-            self._cascade(state, message, peer, time, history)
-        return True
+        if any(message.ttl is not None for message in messages):
+            timeless = [replace(message, ttl=None) for message in messages]
+            result = super().run(timeless)
+            outcomes = [replace(outcome, message=message) for outcome, message
+                        in zip(result.outcomes, messages)]
+        else:
+            result = super().run(messages)
+            outcomes = result.outcomes
+        return SimulationResult(algorithm=result.algorithm,
+                                trace_name=result.trace_name,
+                                outcomes=outcomes,
+                                copies_sent=result.copies_sent)
 
 
 def simulate(
     trace: ContactTrace,
-    algorithm: Union[ForwardingAlgorithm, "RoutingProtocol"],
+    algorithm: Union[ForwardingAlgorithm, RoutingProtocol],
     messages: Sequence[Message],
     copy_semantics: str = "copy",
     stop_on_delivery: bool = True,

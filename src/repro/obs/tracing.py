@@ -1,12 +1,13 @@
-"""Structured trace events: an opt-in probe API for both engines.
+"""Structured trace events: an opt-in probe API for the engines.
 
-A tracer is any object with ``emit(event, time, **fields)``.  Both
-:class:`~repro.forwarding.ForwardingSimulator` and
-:class:`~repro.sim.DesSimulator` accept one via their ``tracer`` argument;
-the default is ``None`` and every probe site is guarded by a single
-``is not None`` check, so a tracerless run allocates nothing on the hot
-path and its event stream is untouched (the engine-equivalence suites pin
-this byte-for-byte).
+A tracer is any object with ``emit(event, time, **fields)``.
+:class:`~repro.sim.DesSimulator` and the vector kernel
+:class:`~repro.sim.VectorSimulator` (hence also
+:class:`~repro.forwarding.ForwardingSimulator`) accept one via their
+``tracer`` argument; the default is ``None`` and every probe site is
+guarded by a single ``is not None`` check, so a tracerless run allocates
+nothing on the hot path and its event stream is untouched (the
+engine-equivalence suites pin this byte-for-byte).
 
 Event vocabulary (fields beyond ``event``/``t`` vary per event):
 

@@ -26,11 +26,13 @@ PRoPHET's learned delivery predictabilities, probabilistic flooding — need
 ``on_delivered(message, now)``
     the message reached its destination (first delivery only).
 
-Both engines — the trace-driven :class:`repro.forwarding.ForwardingSimulator`
-and the resource-constrained :class:`repro.sim.DesSimulator` — invoke the
-hooks at the same points in the same event order, so a deterministic
-protocol produces identical delivery streams in both (enforced by
-``tests/test_routing_equivalence.py``).  Delivery to the destination itself
+Both engines — the resource-constrained :class:`repro.sim.DesSimulator`
+and the vector kernel :class:`repro.sim.VectorSimulator` (which also runs
+:class:`repro.forwarding.ForwardingSimulator`) — invoke the hooks at the
+same points in the same event order, so a deterministic protocol produces
+identical delivery streams in both (enforced by
+``tests/test_vector_equivalence.py``, and against frozen streams by
+``tests/test_golden_streams.py``).  Delivery to the destination itself
 remains the engines' *minimal progress* rule and is never a protocol
 decision; it does not spend replication budget.
 """

@@ -7,12 +7,13 @@ bandwidth-limited contacts and message TTL, a scenario registry
 (:mod:`repro.sim.runner`) and the ``python -m repro`` command line
 (:mod:`repro.sim.cli`).
 
-With all constraints disabled the engine is delivery-stream-equivalent to
-the trace-driven :class:`repro.forwarding.ForwardingSimulator`; the paper's
-six forwarding algorithms run unchanged in both engines.
+With all constraints disabled the engine replays the paper's idealized
+Section 6.1 model; :class:`repro.forwarding.ForwardingSimulator` is the
+array-native vector kernel (:mod:`repro.sim.vector`) fixed to that
+configuration.  The paper's six forwarding algorithms run unchanged in
+every engine, wrapped by :func:`repro.routing.ensure_protocol`.
 """
 
-from .adapter import AlgorithmAdapter, ensure_adapter
 from .buffers import (
     DROP_LARGEST,
     DROP_OLDEST,
@@ -46,8 +47,6 @@ from .scenarios import (
 )
 
 __all__ = [
-    "AlgorithmAdapter",
-    "ensure_adapter",
     "DROP_LARGEST",
     "DROP_OLDEST",
     "DROP_POLICIES",

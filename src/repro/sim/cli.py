@@ -47,6 +47,7 @@ from ..scenario import SPEC_CATEGORIES, ScenarioSpec, spec_kinds
 from .engine import DesSimulator, ResourceConstraints
 from .runner import SWEEPABLE_PARAMETERS, run_scenario, sweep_scenario
 from .scenarios import get_scenario, scenarios
+from .vector import VectorSimulator
 
 __all__ = ["main", "build_parser"]
 
@@ -128,7 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_svc_commands(commands)
 
     bench = commands.add_parser(
-        "bench", help="time the DES engine against the trace-driven simulator")
+        "bench", help="time the DES engine against the vector kernel on the "
+                      "idealized model, and DES under constraints")
     bench.add_argument("--scenario", default="paper-ideal",
                        help="scenario supplying trace and workload "
                             "(default: paper-ideal)")
@@ -361,8 +363,6 @@ def _dispatch_scenario_command(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from ..forwarding.simulator import ForwardingSimulator
-
     scenario = get_scenario(args.scenario)
     trace = scenario.build_trace()
     messages = scenario.build_messages(trace, 0)
@@ -382,8 +382,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     rows = []
     for algorithm in algorithms:
         name = algorithm.name
-        trace_seconds = _time(
-            lambda: ForwardingSimulator(trace, algorithm).run(messages))
+        vector_seconds = _time(
+            lambda: VectorSimulator(trace, algorithm).run(messages))
         des_seconds = _time(
             lambda: DesSimulator(trace, algorithm).run(messages))
         des_constrained_seconds = _time(
@@ -391,11 +391,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                                  constraints=constrained).run(messages))
         rows.append({
             "algorithm": name,
-            "trace_driven_ms": round(trace_seconds * 1e3, 2),
+            "vector_ms": round(vector_seconds * 1e3, 2),
             "des_ideal_ms": round(des_seconds * 1e3, 2),
             "des_constrained_ms": round(des_constrained_seconds * 1e3, 2),
-            "des/trace": round(des_seconds / trace_seconds, 2)
-            if trace_seconds > 0 else None,
+            "des/vector": round(des_seconds / vector_seconds, 2)
+            if vector_seconds > 0 else None,
         })
     print(f"engine timing on scenario {scenario.name!r} "
           f"({trace.num_nodes} nodes, {len(trace)} contacts, "

@@ -1,10 +1,9 @@
 """Resource-constrained discrete-event forwarding engine.
 
-The trace-driven simulator of Section 6 (:class:`repro.forwarding.
-ForwardingSimulator`) replays contacts under the paper's idealized
-assumptions: infinite buffers, instantaneous bidirectional exchanges, no
-message expiry.  :class:`DesSimulator` is an event-driven engine (heap-based
-queue, no simpy dependency) that relaxes each assumption independently via
+The paper's Section 6 model replays contacts under idealized assumptions:
+infinite buffers, instantaneous bidirectional exchanges, no message expiry.
+:class:`DesSimulator` is an event-driven engine (heap-based queue, no simpy
+dependency) that relaxes each assumption independently via
 :class:`ResourceConstraints`:
 
 * **finite per-node buffers** with a drop policy (:mod:`repro.sim.buffers`);
@@ -21,27 +20,27 @@ queue, no simpy dependency) that relaxes each assumption independently via
   after a propagation delay plus uniform jitter;
 * **node churn** (:class:`repro.sim.faults.ChurnSpec`) — a seeded crash/
   reboot schedule: a crash wipes the node's buffer and truncates its open
-  contacts (the adapter's ``on_contact_end`` hook fires early, so stateful
+  contacts (the protocol's ``on_contact_end`` hook fires early, so stateful
   protocols observe the loss), and a down node neither sends, receives nor
   sources messages until it reboots.
 
-Equivalence guarantee
----------------------
+Idealized model
+---------------
 With every constraint disabled (the default :data:`UNCONSTRAINED`), the
-engine reproduces the trace-driven simulator *exactly*: the same event
-encoding (contact starts < ends < creations at equal times, in trace/message
-order), the same exchange order on contact start (both endpoints offer their
-carried messages), the same zero-time relay cascade over active contacts,
-and the same per-message structures (including iteration over the same
-``set`` types), so delivery sets, first-delivery times, hop counts, tie
-order and copy counts all match.  ``tests/test_sim_equivalence.py`` enforces
-this on all four paper dataset stand-ins.
+engine replays the paper's idealized model: contact starts < ends <
+creations at equal times, in trace/message order; on contact start both
+endpoints offer their carried messages; a received copy relays at once
+over every active contact (the zero-time cascade).  Delivery sets,
+first-delivery times, hop counts, tie order and copy counts equal the
+frozen golden streams of ``tests/golden/delivery_streams.json``
+(``tests/test_golden_streams.py``), and the vector kernel
+(:mod:`repro.sim.vector`) reproduces this engine exactly.
 
 Semantics choices under constraints (documented, deterministic):
 
 * A node that ever held a copy never receives it again — even if the copy
-  was evicted (mirrors the trace simulator's ``ever_held`` relation and
-  prevents buffer-drop ping-pong).  A node whose buffer *rejected* a copy
+  was evicted (the ``ever_held`` relation; it prevents buffer-drop
+  ping-pong).  A node whose buffer *rejected* a copy
   may receive it later.
 * Delivery is reception at the destination radio: it always succeeds, even
   when the destination's buffer cannot store a relaying copy.
@@ -66,7 +65,7 @@ byte-identical draws):
   bytes were on the air), but are cancelled if the receiver is down, the
   message expired or was already delivered (in stop mode).
 * A crash truncates every open contact of the node: the bookkeeping and the
-  adapter's ``on_contact_end`` fire at crash time and the trace's own later
+  protocol's ``on_contact_end`` fire at crash time and the trace's own later
   ``CONTACT_END`` for those contacts is suppressed.  A contact that starts
   while either endpoint is down is skipped entirely.  A node that lost its
   copy to a crash never re-receives that message (the ``ever_held``
@@ -84,11 +83,11 @@ from ..core.fastpath import NodeInterner
 from ..forwarding.algorithms import ForwardingAlgorithm
 from ..forwarding.history import OnlineContactHistory
 from ..forwarding.messages import Message
-from ..forwarding.simulator import DeliveryOutcome, SimulationResult
+from ..forwarding.results import DeliveryOutcome, SimulationResult
 from ..routing.base import RoutingProtocol
+from ..routing.compat import ensure_protocol
 from ..scenario.base import ConstraintSpec, register_spec
 from ..synth.seeding import derive_rng
-from .adapter import AlgorithmAdapter, ensure_adapter
 from .buffers import DROP_OLDEST, DROP_POLICIES, BufferEntry, NodeBuffer
 from .events import (
     CONTACT_END,
@@ -244,8 +243,30 @@ class ResourceConstraints(ConstraintSpec):
         return replace(self, **changes)
 
 
-#: The idealized configuration: the DES engine equals the trace simulator.
+#: The idealized configuration: the paper's Section 6.1 model.
 UNCONSTRAINED = ResourceConstraints()
+
+
+def validate_messages(trace: ContactTrace, messages: Sequence[Message]) -> None:
+    """Reject a workload the engines cannot replay faithfully.
+
+    Every source and destination must be a node of *trace*, and message ids
+    must be unique: the engines key copies and deliveries by id, so a
+    repeated id would let one message overwrite another's state.
+    """
+    nodes = trace.nodes
+    seen: Set[int] = set()
+    for message in messages:
+        if message.source not in nodes:
+            raise ValueError(
+                f"message {message.id}: unknown source {message.source}")
+        if message.destination not in nodes:
+            raise ValueError(
+                f"message {message.id}: unknown destination "
+                f"{message.destination}")
+        if message.id in seen:
+            raise ValueError(f"message {message.id}: duplicate message id")
+        seen.add(message.id)
 
 
 @dataclass
@@ -323,10 +344,9 @@ _Pair = Tuple[int, int]
 class _DesState:
     """Mutable per-run DES state over interned node indices.
 
-    The contact/holding structures are deliberately the *same types* the
-    trace-driven simulator uses (lists of ``set``), so that in unconstrained
-    mode every iteration order — and therefore the delivery stream — is
-    identical.
+    The contact/holding structures are lists of ``set``; the vector kernel
+    keeps the same types, so that every iteration order — and therefore the
+    delivery stream — is identical in both.
     """
 
     __slots__ = ("interner", "node_of", "active_counts", "active_peers",
@@ -392,15 +412,15 @@ class DesSimulator:
     trace:
         The contact trace to replay.
     algorithm:
-        A :class:`~repro.forwarding.ForwardingAlgorithm` or stateful
-        :class:`~repro.routing.RoutingProtocol` (both adapted
-        automatically), or an :class:`AlgorithmAdapter`.
+        A :class:`~repro.forwarding.ForwardingAlgorithm` (wrapped by
+        :func:`~repro.routing.ensure_protocol`) or a stateful
+        :class:`~repro.routing.RoutingProtocol`.
     constraints:
-        The resource limits; defaults to :data:`UNCONSTRAINED`, in which
-        case the run is delivery-stream-equivalent to
-        :class:`~repro.forwarding.ForwardingSimulator`.
+        The resource limits; defaults to :data:`UNCONSTRAINED`, the paper's
+        idealized model (the semantics of
+        :class:`~repro.forwarding.ForwardingSimulator`).
     copy_semantics, stop_on_delivery:
-        As in the trace-driven simulator.
+        As in :class:`~repro.forwarding.ForwardingSimulator`.
     seed:
         Master seed for the fault models (loss/jitter draws and the churn
         schedule derive their independent streams from it via
@@ -421,7 +441,7 @@ class DesSimulator:
     def __init__(
         self,
         trace: ContactTrace,
-        algorithm: Union[ForwardingAlgorithm, RoutingProtocol, AlgorithmAdapter],
+        algorithm: Union[ForwardingAlgorithm, RoutingProtocol],
         constraints: ResourceConstraints = UNCONSTRAINED,
         copy_semantics: str = "copy",
         stop_on_delivery: bool = True,
@@ -432,7 +452,7 @@ class DesSimulator:
         if copy_semantics not in ("copy", "handoff"):
             raise ValueError("copy_semantics must be 'copy' or 'handoff'")
         self._trace = trace
-        self._adapter = ensure_adapter(algorithm)
+        self._protocol = ensure_protocol(algorithm)
         self._constraints = constraints
         self._copy = copy_semantics == "copy"
         self._stop_on_delivery = stop_on_delivery
@@ -456,15 +476,8 @@ class DesSimulator:
     # ------------------------------------------------------------------
     def run(self, messages: Sequence[Message]) -> ConstrainedSimulationResult:
         """Simulate the delivery of *messages* under the constraints."""
-        for message in messages:
-            if message.source not in self._trace.nodes:
-                raise ValueError(f"message {message.id}: unknown source {message.source}")
-            if message.destination not in self._trace.nodes:
-                raise ValueError(
-                    f"message {message.id}: unknown destination {message.destination}"
-                )
-        self._adapter.reset_counters()
-        self._adapter.prepare(self._trace)
+        validate_messages(self._trace, messages)
+        self._protocol.prepare(self._trace)
 
         interner = NodeInterner(self._trace.nodes)
         index_of = interner.index_of
@@ -474,9 +487,10 @@ class DesSimulator:
         self._stats = ResourceStats()
         queue = self._queue = EventQueue()
 
-        # Initial events, encoded exactly as the trace-driven simulator
-        # encodes them (same kinds-relative order, same sequence assignment)
-        # so unconstrained runs sort — and therefore replay — identically.
+        # Initial events: per contact a start then an end, then every
+        # creation, then every expiry, sequence-numbered in that order (the
+        # vector kernel numbers its timeline the same way, so both replay
+        # ties identically).
         initial = []
         for contact in self._trace:
             payload = (contact, index_of(contact.a), index_of(contact.b))
@@ -509,7 +523,7 @@ class DesSimulator:
 
         telemetry = self._telemetry
         if telemetry is not None:
-            telemetry.begin(engine="des", algorithm=self._adapter.name)
+            telemetry.begin(engine="des", algorithm=self._protocol.name)
         buffers = state.buffers
         while queue:
             time, kind, _, payload = queue.pop()
@@ -549,11 +563,9 @@ class DesSimulator:
         stats = self._stats
         stats.peak_buffer_occupancy = max(
             (buffer.peak_used for buffer in state.buffers), default=0.0)
-        stats.forwarding_decisions = self._adapter.decisions
-        stats.forwarding_approvals = self._adapter.approvals
         self._state = None
         return ConstrainedSimulationResult(
-            algorithm=self._adapter.name, trace_name=self._trace.name,
+            algorithm=self._protocol.name, trace_name=self._trace.name,
             outcomes=outcomes, copies_sent=stats.copies_sent,
             constraints=self._constraints, stats=stats)
 
@@ -576,7 +588,7 @@ class DesSimulator:
         if self._tracer is not None:
             self._tracer.emit("contact_start", time, a=contact.a, b=contact.b)
         self._history.record(contact.a, contact.b, time)
-        self._adapter.on_contact_start(contact.a, contact.b, time, self._history)
+        self._protocol.on_contact_start(contact.a, contact.b, time, self._history)
         pair = (a, b) if a <= b else (b, a)
         state.active_counts[pair] = state.active_counts.get(pair, 0) + 1
         state.active_peers[a].add(b)
@@ -595,7 +607,7 @@ class DesSimulator:
                         payload: Tuple[Contact, int, int]) -> None:
         state = self._state
         if state.severed and id(payload) in state.severed:
-            # truncated at a crash (bookkeeping and the adapter hook fired
+            # truncated at a crash (bookkeeping and the protocol hook fired
             # then) or never observed (an endpoint was down at the start)
             state.severed.discard(id(payload))
             return
@@ -613,7 +625,7 @@ class DesSimulator:
             state.active_counts[pair] = remaining
         if self._tracer is not None:
             self._tracer.emit("contact_end", time, a=contact.a, b=contact.b)
-        self._adapter.on_contact_end(contact.a, contact.b, time, self._history)
+        self._protocol.on_contact_end(contact.a, contact.b, time, self._history)
 
     def _on_create(self, time: float, message: Message) -> None:
         state = self._state
@@ -630,7 +642,7 @@ class DesSimulator:
                 tracer.emit("drop", time, msg=message.id, node=message.source,
                             reason="source_rejected")
             return
-        self._adapter.on_message_created(message, time)
+        self._protocol.on_message_created(message, time)
         source = source_index
         entry = BufferEntry(message_id=message.id,
                             size=self._constraints.effective_size(message),
@@ -674,7 +686,7 @@ class DesSimulator:
         if tracer is not None:
             tracer.emit("crash", time, node=state.node_of[node])
         # truncate every open contact touching the node: the pair
-        # bookkeeping and the adapter's contact-end hook run now, and the
+        # bookkeeping and the protocol's contact-end hook run now, and the
         # trace's own CONTACT_END for these payloads is suppressed
         for payload_id, payload in list(state.open_payloads.items()):
             contact, a, b = payload
@@ -695,8 +707,8 @@ class DesSimulator:
             if tracer is not None:
                 tracer.emit("contact_end", time, a=contact.a, b=contact.b,
                             truncated=True)
-            self._adapter.on_contact_end(contact.a, contact.b, time,
-                                         self._history)
+            self._protocol.on_contact_end(contact.a, contact.b, time,
+                                          self._history)
         # the crash wipes the node's buffer: every carried copy is lost
         for message_id in list(state.carried[node]):
             self._drop_copy(node, message_id)
@@ -753,8 +765,8 @@ class DesSimulator:
             return
         node_of = state.node_of
         if peer != state.dest_index[message.id]:
-            self._adapter.on_forwarded(message, node_of[carrier],
-                                       node_of[peer], time)
+            self._protocol.on_forwarded(message, node_of[carrier],
+                                        node_of[peer], time)
             if self._tracer is not None:
                 self._tracer.emit("forward", time, msg=message.id,
                                   src=node_of[carrier], dst=node_of[peer],
@@ -769,8 +781,7 @@ class DesSimulator:
     # transfer machinery
     # ------------------------------------------------------------------
     def _cascade(self, message: Message, start_node: int, time: float) -> None:
-        """Zero-time relay over currently active contacts (mirrors the
-        trace-driven simulator's cascade exactly)."""
+        """Zero-time relay over currently active contacts."""
         state = self._state
         frontier = [start_node]
         while frontier:
@@ -785,8 +796,8 @@ class DesSimulator:
 
         Returns True if the peer received a copy instantly (delivery
         included) — a scheduled, bandwidth-delayed transfer returns False
-        because the peer holds nothing yet.  Guard order mirrors the
-        trace-driven simulator's ``_try_transfer``.
+        because the peer holds nothing yet.  Every non-destination offer
+        that passes the guards is one forwarding decision in the stats.
         """
         state = self._state
         message_id = message.id
@@ -804,10 +815,12 @@ class DesSimulator:
             return False
         is_destination = peer == state.dest_index[message_id]
         if not is_destination:
-            if not self._adapter.should_forward(
+            self._stats.forwarding_decisions += 1
+            if not self._protocol.should_forward(
                     state.node_of[carrier], state.node_of[peer],
                     message, time, self._history):
                 return False
+            self._stats.forwarding_approvals += 1
         if self._constraints.bandwidth is not None or self._channel is not None:
             self._schedule_transfer(message, carrier, peer, time, hops + 1)
             return False
@@ -816,11 +829,11 @@ class DesSimulator:
         if not received:
             return False
         if is_destination:
-            # mirror the trace simulator: delivery neither triggers a
-            # cascade from the destination nor a hand-off removal
+            # delivery neither triggers a cascade from the destination nor
+            # a hand-off removal
             return True
-        self._adapter.on_forwarded(message, state.node_of[carrier],
-                                   state.node_of[peer], time)
+        self._protocol.on_forwarded(message, state.node_of[carrier],
+                                    state.node_of[peer], time)
         if self._tracer is not None:
             self._tracer.emit("forward", time, msg=message_id,
                               src=state.node_of[carrier],
@@ -952,7 +965,7 @@ class DesSimulator:
         stats.copies_sent += 1
         if is_destination and message_id not in state.delivered:
             state.delivered[message_id] = (time, hops)
-            self._adapter.on_delivered(message, time)
+            self._protocol.on_delivered(message, time)
             if self._tracer is not None:
                 self._tracer.emit("deliver", time, msg=message_id,
                                   node=state.node_of[peer], hops=hops,
@@ -998,7 +1011,7 @@ class DesSimulator:
 
 def simulate_des(
     trace: ContactTrace,
-    algorithm: Union[ForwardingAlgorithm, RoutingProtocol, AlgorithmAdapter],
+    algorithm: Union[ForwardingAlgorithm, RoutingProtocol],
     messages: Sequence[Message],
     constraints: ResourceConstraints = UNCONSTRAINED,
     copy_semantics: str = "copy",

@@ -65,9 +65,9 @@ from ..core.fastpath import NodeInterner
 from ..forwarding.algorithms import ForwardingAlgorithm
 from ..forwarding.history import OnlineContactHistory
 from ..forwarding.messages import Message
-from ..forwarding.simulator import DeliveryOutcome
+from ..forwarding.results import DeliveryOutcome
 from ..routing.base import RoutingProtocol
-from .adapter import AlgorithmAdapter, ensure_adapter
+from ..routing.compat import ensure_protocol
 from .buffers import BufferEntry, NodeBuffer
 from .engine import (
     _KIND_NAMES,
@@ -76,6 +76,7 @@ from .engine import (
     DesSimulator,
     ResourceConstraints,
     ResourceStats,
+    validate_messages,
 )
 from .events import CONTACT_END, CONTACT_START, CREATE, EXPIRE
 
@@ -93,7 +94,7 @@ class VectorSimulator:
     def __init__(
         self,
         trace: ContactTrace,
-        algorithm: Union[ForwardingAlgorithm, RoutingProtocol, AlgorithmAdapter],
+        algorithm: Union[ForwardingAlgorithm, RoutingProtocol],
         constraints: ResourceConstraints = UNCONSTRAINED,
         copy_semantics: str = "copy",
         stop_on_delivery: bool = True,
@@ -104,7 +105,7 @@ class VectorSimulator:
         if copy_semantics not in ("copy", "handoff"):
             raise ValueError("copy_semantics must be 'copy' or 'handoff'")
         self._trace = trace
-        self._adapter = ensure_adapter(algorithm)
+        self._protocol = ensure_protocol(algorithm)
         self._constraints = constraints
         self._copy = copy_semantics == "copy"
         self._stop_on_delivery = stop_on_delivery
@@ -130,26 +131,14 @@ class VectorSimulator:
         """Simulate the delivery of *messages* under the constraints."""
         if self._delegate:
             return DesSimulator(
-                self._trace, self._adapter, constraints=self._constraints,
+                self._trace, self._protocol, constraints=self._constraints,
                 copy_semantics=self._copy_semantics,
                 stop_on_delivery=self._stop_on_delivery, seed=self._seed,
                 tracer=self._tracer, telemetry=self._telemetry,
             ).run(messages)
-        for message in messages:
-            if message.source not in self._trace.nodes:
-                raise ValueError(
-                    f"message {message.id}: unknown source {message.source}")
-            if message.destination not in self._trace.nodes:
-                raise ValueError(
-                    f"message {message.id}: unknown destination "
-                    f"{message.destination}")
-        if len({m.id for m in messages}) != len(messages):
-            raise ValueError("message ids must be unique")
-
-        adapter = self._adapter
-        adapter.reset_counters()
-        adapter.prepare(self._trace)
-        protocol = adapter.protocol
+        validate_messages(self._trace, messages)
+        protocol = self._protocol
+        protocol.prepare(self._trace)
         self._fastpath = bool(getattr(protocol, "vector_fastpath", False))
         self._approvals_fn = (getattr(protocol, "vector_approvals", None)
                               if self._fastpath else None)
@@ -214,7 +203,7 @@ class VectorSimulator:
 
         telemetry = self._telemetry
         if telemetry is not None:
-            telemetry.begin(engine="vector", algorithm=adapter.name)
+            telemetry.begin(engine="vector", algorithm=protocol.name)
         if (self._fastpath and self._run_tracer is None
                 and telemetry is None):
             self._hot_loop(timeline, message_list)
@@ -266,10 +255,8 @@ class VectorSimulator:
         else:
             stats.peak_buffer_occupancy = max(
                 (buffer.peak_used for buffer in self._buffers), default=0.0)
-        stats.forwarding_decisions = adapter.decisions
-        stats.forwarding_approvals = adapter.approvals
         return ConstrainedSimulationResult(
-            algorithm=adapter.name, trace_name=self._trace.name,
+            algorithm=protocol.name, trace_name=self._trace.name,
             outcomes=outcomes, copies_sent=stats.copies_sent,
             constraints=self._constraints, stats=stats)
 
@@ -421,8 +408,8 @@ class VectorSimulator:
         if not self._fastpath:
             node_of = self._node_of
             self._history.record(node_of[a], node_of[b], time)
-            self._adapter.on_contact_start(node_of[a], node_of[b], time,
-                                           self._history)
+            self._protocol.on_contact_start(node_of[a], node_of[b], time,
+                                            self._history)
         counts = self._active_counts
         counts[pair] = counts.get(pair, 0) + 1
         self._active_peers[a].add(b)
@@ -454,15 +441,15 @@ class VectorSimulator:
                                   a=node_of[a], b=node_of[b])
         if not self._fastpath:
             node_of = self._node_of
-            self._adapter.on_contact_end(node_of[a], node_of[b], time,
-                                         self._history)
+            self._protocol.on_contact_end(node_of[a], node_of[b], time,
+                                          self._history)
 
     def _on_create(self, time, message: Message) -> None:
         tracer = self._run_tracer
         if tracer is not None:
             tracer.emit("create", time, msg=message.id, src=message.source,
                         dst=message.destination)
-        self._adapter.on_message_created(message, time)
+        self._protocol.on_message_created(message, time)
         source = self._index_of(message.source)
         if self._fastbuf:
             used = self._buf_used[source] + self._size_of[message.id]
@@ -547,43 +534,18 @@ class VectorSimulator:
         node_of = self._node_of
         verdicts = approvals_fn(node_of[carrier], node_of[peer], batch, time)
         for message, approved in zip(batch, verdicts):
-            self._attempt_batched(message, carrier, peer, time, approved)
-
-    def _attempt_batched(self, message: Message, carrier: int, peer: int,
-                         time, approved: bool) -> bool:
-        """`_attempt` with the forwarding verdict supplied by the batch.
-
-        The decision counters are charged exactly as the adapter would
-        charge them (one decision per non-destination offer, one approval
-        per True verdict), keeping ``ResourceStats`` identical to a DES
-        run.
-        """
-        message_id = message.id
-        bit = self._bit_of[message_id]
-        if not (self._carried_bits[carrier] & bit):
-            return False
-        if self._stop_bits & bit:
-            return False
-        if self._ever_bits[peer] & bit:
-            return False
-        receive_time, hops = self._holdings[message_id][carrier]
-        if time < receive_time:
-            return False
-        adapter = self._adapter
-        if peer != self._dest_of[message_id]:
-            adapter.decisions += 1
-            if not approved:
-                return False
-            adapter.approvals += 1
-        return self._transfer(message, carrier, peer, time, hops + 1,
-                              cascade=True)
+            self._attempt(message, carrier, peer, time, approved=approved)
 
     def _attempt(self, message: Message, carrier: int, peer: int, time,
-                 cascade: bool = True) -> bool:
+                 cascade: bool = True, approved: Optional[bool] = None) -> bool:
         """Attempt to move *message* from *carrier* to *peer* at *time*.
 
         Guard order mirrors :meth:`DesSimulator._attempt` (minus the
-        fault guards, which cannot fire on the native path).
+        fault guards, which cannot fire on the native path).  *approved*
+        is the verdict of a batch that already judged the offer; without
+        one the protocol decides here.  Either way every non-destination
+        offer that passes the guards is one forwarding decision, keeping
+        ``ResourceStats`` identical to a DES run.
         """
         message_id = message.id
         bit = self._bit_of[message_id]
@@ -596,34 +558,32 @@ class VectorSimulator:
         receive_time, hops = self._holdings[message_id][carrier]
         if time < receive_time:
             return False
+        hops += 1
+        node_of = self._node_of
         if peer != self._dest_of[message_id]:
-            node_of = self._node_of
-            if not self._adapter.should_forward(
+            stats = self._stats
+            stats.forwarding_decisions += 1
+            if approved is None:
+                approved = self._protocol.should_forward(
                     node_of[carrier], node_of[peer], message, time,
-                    self._history):
+                    self._history)
+            if not approved:
                 return False
-        return self._transfer(message, carrier, peer, time, hops + 1,
-                              cascade=cascade)
-
-    def _transfer(self, message: Message, carrier: int, peer: int, time,
-                  hops: int, cascade: bool) -> bool:
-        """The shared post-decision tail of an instantaneous attempt."""
-        received = self._receive(message, peer, time, hops, carrier)
-        if not received:
+            stats.forwarding_approvals += 1
+        if not self._receive(message, peer, time, hops, carrier):
             return False
-        if peer == self._dest_of[message.id]:
+        if peer == self._dest_of[message_id]:
             # mirror the DES engine: delivery neither triggers a cascade
             # from the destination nor a hand-off removal
             return True
-        node_of = self._node_of
-        self._adapter.on_forwarded(message, node_of[carrier], node_of[peer],
-                                   time)
+        self._protocol.on_forwarded(message, node_of[carrier], node_of[peer],
+                                    time)
         if self._run_tracer is not None:
-            self._run_tracer.emit("forward", time, msg=message.id,
+            self._run_tracer.emit("forward", time, msg=message_id,
                                   src=node_of[carrier], dst=node_of[peer],
                                   hops=hops)
         if not self._copy:
-            self._drop_copy(carrier, message.id)
+            self._drop_copy(carrier, message_id)
         if cascade:
             self._cascade(message, peer, time)
         return True
@@ -688,7 +648,7 @@ class VectorSimulator:
             self._delivered[message_id] = (time, hops)
             if self._stop_on_delivery:
                 self._stop_bits |= bit
-            self._adapter.on_delivered(message, time)
+            self._protocol.on_delivered(message, time)
             if tracer is not None:
                 tracer.emit("deliver", time, msg=message_id,
                             node=self._node_of[peer], hops=hops,
@@ -740,13 +700,13 @@ class VectorSimulator:
         return sequence
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"<VectorSimulator {self._adapter.name!r} "
+        return (f"<VectorSimulator {self._protocol.name!r} "
                 f"{'delegated' if self._delegate else 'native'}>")
 
 
 def simulate_vector(
     trace: ContactTrace,
-    algorithm: Union[ForwardingAlgorithm, RoutingProtocol, AlgorithmAdapter],
+    algorithm: Union[ForwardingAlgorithm, RoutingProtocol],
     messages: Sequence[Message],
     constraints: ResourceConstraints = UNCONSTRAINED,
     copy_semantics: str = "copy",

@@ -13,6 +13,7 @@ from repro.forwarding import (
     Message,
     simulate,
 )
+from repro.sim import DesSimulator, VectorSimulator
 
 
 @pytest.fixture
@@ -154,6 +155,30 @@ class TestValidationAndResults:
             simulator.run([_message(0, 99)])
         with pytest.raises(ValueError):
             simulator.run([_message(99, 0)])
+
+    @pytest.mark.parametrize("engine", [ForwardingSimulator, DesSimulator,
+                                        VectorSimulator])
+    def test_rejects_duplicate_message_ids(self, engine):
+        """Engines key copies by message id: with a repeated id, 2->0's
+        creation overwrote 0->1's copies, and 0->1 went undelivered
+        although the t=10 contact delivers it."""
+        trace = ContactTrace([Contact(10.0, 20.0, 0, 1),
+                              Contact(30.0, 40.0, 1, 2)],
+                             nodes=range(3), duration=50.0)
+        messages = [_message(0, 1, mid=1), _message(2, 0, mid=1)]
+        with pytest.raises(ValueError, match="duplicate message id"):
+            engine(trace, EpidemicForwarding()).run(messages)
+
+    def test_message_ttl_is_ignored(self, chain_trace):
+        """The idealized model has no expiry: a ttl shorter than the route
+        changes nothing, and outcomes keep the caller's message objects."""
+        message = Message(id=0, source=0, destination=3, creation_time=0.0,
+                          ttl=5.0)
+        outcome = simulate(chain_trace, EpidemicForwarding(),
+                           [message]).outcomes[0]
+        assert outcome.delivered
+        assert outcome.delivery_time == pytest.approx(60.0)
+        assert outcome.message is message
 
     def test_success_rate_and_average_delay(self, chain_trace):
         messages = [_message(0, 3, 0.0, mid=0), _message(3, 0, 0.0, mid=1)]

@@ -115,7 +115,8 @@ class TestEngineIntegration:
 
         telemetry = EngineTelemetry(sample_every=8)
         result = self._run(ForwardingSimulator, telemetry)
-        assert telemetry.engine == "trace"
+        # the idealized simulator runs on the vector kernel
+        assert telemetry.engine == "vector"
         assert telemetry.events > 0
         bare = self._run(ForwardingSimulator, None)
         assert bare.outcomes == result.outcomes
