@@ -23,9 +23,9 @@ IDEALISED_ENGINES = {
     "vector": VectorSimulator,
 }
 
-#: scenarios whose DES replay takes minutes (Dynamic Programming's oracle
-#: over 1000 nodes); checked through the vector kernel's fast-path
-#: protocols only
+#: scenarios whose full replay takes minutes (Dynamic Programming and
+#: PRoPHET over 1000 nodes, in either engine, and every protocol on DES);
+#: checked through the vector kernel's fast-path protocols only
 SLOW_SCENARIOS = ("rwp-city-1k",)
 
 
