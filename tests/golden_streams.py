@@ -4,14 +4,21 @@
 deliver, independently of any engine: one entry per case holding the
 SHA-256 of the canonical ``(id, delivered, delivery_time, hop_count)``
 stream, ``copies_sent`` and, for catalogue scenarios, the DES
-``ResourceStats.as_dict()``.  Two case families:
+``ResourceStats.as_dict()``.  Three case families:
 
 * **idealised** — the five dataset stand-ins (scale 0.2, Poisson rate
   0.01, workload seed 11) plus two hand-built adversarial traces, each
   under every registered protocol × copy/hand-off × stop on/off;
 * **catalogue** — every built-in scenario except ``rwp-city-10k`` under
   every registered protocol, run 0, with the scenario's own constraints,
-  copy semantics and seed on the DES engine.
+  copy semantics and seed on the DES engine;
+* **faulted** — the inputs of the catalogue scenarios, with node churn and
+  channel faults switched on the way e2ebench's paper-campaign builds them
+  (:data:`FAULTED`), under every registered protocol, stats included.
+
+``traces`` pins the SHA-256 of the :class:`~repro.obs.JsonlTracer` file
+of one traced Epidemic run on the adversarial trace and one on the churn
+case, so the event stream a tracer sees is frozen byte for byte.
 
 Regenerate the fixture (only when a change of behaviour is intended, and
 say so in the change log) from the repository root with::
@@ -27,14 +34,18 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import tempfile
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Tuple
 
 from repro.contacts import Contact, ContactTrace
 from repro.datasets import PAPER_DATASET_KEYS, load_dataset
 from repro.forwarding import ForwardingSimulator, Message, PoissonMessageWorkload
+from repro.obs import JsonlTracer
 from repro.routing.registry import protocol_by_name, protocol_names
-from repro.sim import DesSimulator, get_scenario, scenario_names
+from repro.routing.tournament import lossy_variant
+from repro.sim import ChurnSpec, DesSimulator, get_scenario, scenario_names
 
 FIXTURE = Path(__file__).resolve().parent / "golden" / "delivery_streams.json"
 
@@ -47,6 +58,16 @@ IDEAL_TRACES = DATASET_KEYS + ("adversarial", "overlap")
 OPTIONS = (("copy", True), ("copy", False),
            ("handoff", True), ("handoff", False))
 CATALOGUE = tuple(name for name in scenario_names() if name != "rwp-city-10k")
+#: faulted case -> (base scenario, copy semantics); the inputs are built
+#: by :func:`faulted_inputs`
+FAULTED = {
+    "paper-buffer-crunch+churn": ("paper-buffer-crunch", "copy"),
+    "paper-buffer-crunch+churn/handoff": ("paper-buffer-crunch", "handoff"),
+    "paper-ttl-tight+lossy": ("paper-ttl-tight", "copy"),
+    "flash-crowd+lossy": ("flash-crowd", "copy"),
+}
+#: traced case -> the inputs its JSONL trace bytes are pinned on
+TRACED = ("adversarial", "paper-buffer-crunch+churn")
 
 
 def _adversarial() -> Tuple[ContactTrace, List[Message]]:
@@ -105,6 +126,49 @@ def catalogue_inputs(name: str):
     return scenario, trace, scenario.build_messages(trace, 0)
 
 
+@functools.lru_cache(maxsize=None)
+def faulted_inputs(name: str):
+    """``(scenario, trace, messages)`` of one faulted case family.
+
+    The churn case is built as e2ebench's paper-campaign builds it; the
+    lossy flash crowd adds delay and jitter to its 1 B/s links, so
+    bandwidth, loss and propagation delay act together.
+    """
+    base = get_scenario(FAULTED[name][0])
+    if base.name == "paper-buffer-crunch":
+        scenario = replace(
+            base, name="paper-buffer-crunch+churn",
+            constraints=replace(base.constraints, churn=ChurnSpec(
+                crash_rate=1e-4, mean_downtime=300.0)))
+    elif base.name == "flash-crowd":
+        scenario = lossy_variant(base, loss=0.1, delay=2.0, jitter=1.5)
+    else:
+        scenario = lossy_variant(base)
+    trace = scenario.build_trace()
+    return scenario, trace, scenario.build_messages(trace, 0)
+
+
+def run_faulted(name: str, protocol: str, tracer=None):
+    """One faulted case on the DES engine."""
+    scenario, trace, messages = faulted_inputs(name)
+    return DesSimulator(trace, protocol_by_name(protocol),
+                        constraints=scenario.constraints,
+                        copy_semantics=FAULTED[name][1],
+                        seed=scenario.seed, tracer=tracer).run(messages)
+
+
+def traced_digest(name: str, path: Path) -> str:
+    """SHA-256 of the JSONL trace file of one traced Epidemic run."""
+    with JsonlTracer(path) as tracer:
+        if name in FAULTED:
+            run_faulted(name, "Epidemic", tracer=tracer)
+        else:
+            trace, messages = ideal_inputs(name)
+            DesSimulator(trace, protocol_by_name("Epidemic"),
+                         tracer=tracer).run(messages)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def ideal_key(trace: str, protocol: str, copy_semantics: str = "copy",
               stop_on_delivery: bool = True) -> str:
     stop = "stop" if stop_on_delivery else "flood"
@@ -145,9 +209,10 @@ def assert_ideal(result, key: str) -> None:
     assert entry(result) == load()["ideal"][key], key
 
 
-def assert_catalogue(result, key: str) -> None:
-    """*result* reproduces the catalogue fixture entry *key*, stats included."""
-    assert entry(result, with_stats=True) == load()["catalogue"][key], key
+def assert_catalogue(result, key: str, family: str = "catalogue") -> None:
+    """*result* reproduces the fixture entry *key* of a scenario family
+    (``catalogue`` or ``faulted``), stats included."""
+    assert entry(result, with_stats=True) == load()[family][key], key
 
 
 def record() -> Dict[str, Dict[str, Dict[str, object]]]:
@@ -174,7 +239,16 @@ def record() -> Dict[str, Dict[str, Dict[str, object]]]:
                 seed=scenario.seed).run(messages)
             catalogue[catalogue_key(name, protocol)] = entry(
                 result, with_stats=True)
-    return {"ideal": ideal, "catalogue": catalogue}
+    faulted = {
+        catalogue_key(name, protocol): entry(run_faulted(name, protocol),
+                                             with_stats=True)
+        for name in FAULTED for protocol in protocol_names()}
+    with tempfile.TemporaryDirectory() as scratch:
+        # one file per case: JsonlTracer appends to an existing file
+        traces = {name: traced_digest(name, Path(scratch) / f"{index}.jsonl")
+                  for index, name in enumerate(TRACED)}
+    return {"ideal": ideal, "catalogue": catalogue, "faulted": faulted,
+            "traces": traces}
 
 
 if __name__ == "__main__":

@@ -65,6 +65,23 @@ def test_catalogue_matches_golden(scenario_name):
             golden.assert_catalogue(result, key)
 
 
+@pytest.mark.parametrize("case", sorted(golden.FAULTED))
+def test_faulted_matches_golden(case):
+    """Churn, channel loss, delay and jitter on top of buffers, TTL and
+    bandwidth: streams and every resource counter, all protocols."""
+    for protocol in protocol_names():
+        golden.assert_catalogue(golden.run_faulted(case, protocol),
+                                golden.catalogue_key(case, protocol),
+                                family="faulted")
+
+
+@pytest.mark.parametrize("case", golden.TRACED)
+def test_traced_run_bytes_match_golden(case, tmp_path):
+    """A tracer sees the frozen event stream, byte for byte."""
+    digest = golden.traced_digest(case, tmp_path / "trace.jsonl")
+    assert digest == golden.load()["traces"][case]
+
+
 def test_fixture_covers_every_case():
     fixture = golden.load()
     assert set(fixture["ideal"]) == {
@@ -74,3 +91,7 @@ def test_fixture_covers_every_case():
     assert set(fixture["catalogue"]) == {
         golden.catalogue_key(name, protocol)
         for name in golden.CATALOGUE for protocol in protocol_names()}
+    assert set(fixture["faulted"]) == {
+        golden.catalogue_key(name, protocol)
+        for name in golden.FAULTED for protocol in protocol_names()}
+    assert set(fixture["traces"]) == set(golden.TRACED)
