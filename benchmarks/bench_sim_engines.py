@@ -1,21 +1,19 @@
 #!/usr/bin/env python3
-"""Benchmark: the DES engine vs the vector kernel.
+"""Benchmark: the one DES engine, idealized, constrained and at city scale.
 
 Two sections share one ``BENCH_sim.json`` artifact:
 
 * **dataset records** — the Section 6 forwarding replay of one Poisson
-  workload on the benchmark-scale primary dataset with (a) the vector
-  kernel on the idealized model (what ``ForwardingSimulator`` runs), (b)
-  the DES engine with constraints disabled (same results; the enforced
-  ``des_vs_vector_overhead`` is its time over the kernel's) and (c) the
-  DES engine under a representative constraint set;
-* **vector record** — the city-scale ``engine="vector"`` headline: the
-  DES engine and the vector kernel race on an ``rwp-city-*`` scenario
-  (``rwp-city-1k`` in ``--quick`` mode, ``rwp-city-10k`` in full mode).
-  The vector run is verified delivery-stream-equal to DES before any
-  timing is recorded, and the ``vector_speedup`` ratio is enforced by
-  ``python -m repro obs bench-check`` against the committed baseline.
+  workload on the benchmark-scale primary dataset (a) on the idealized
+  model (``vector_s``: the hot loop fast-path protocols take, and what
+  ``ForwardingSimulator`` runs) and (b) under a representative constraint
+  set (``des_constrained_s``);
+* **vector record** — the city-scale headline: Epidemic on an
+  ``rwp-city-*`` scenario (``rwp-city-1k`` in ``--quick`` mode,
+  ``rwp-city-10k`` in full mode), with its event throughput.
 
+There is one engine, so no ratio between engines is recorded; the
+times are informational for ``python -m repro obs bench-check``.
 Medians are written to ``BENCH_sim.json`` at the repo root so the numbers
 are tracked across PRs::
 
@@ -42,12 +40,7 @@ from repro.datasets import load_dataset  # noqa: E402
 from repro.forwarding import PoissonMessageWorkload  # noqa: E402
 from repro.forwarding.algorithms import algorithm_by_name  # noqa: E402
 from repro.routing.registry import protocol_by_name  # noqa: E402
-from repro.sim import (  # noqa: E402
-    DesSimulator,
-    ResourceConstraints,
-    VectorSimulator,
-    get_scenario,
-)
+from repro.sim import DesSimulator, ResourceConstraints, get_scenario  # noqa: E402
 
 DEFAULT_BENCHMARK_JSON = _HERE.parent / "BENCH_sim.json"
 ALGORITHMS = ("Epidemic", "Greedy", "Dynamic Programming")
@@ -64,20 +57,6 @@ def _time_runs(factory, repeats: int) -> list:
     return samples
 
 
-def _streams_equal(reference, candidate) -> bool:
-    """Full delivery-stream equivalence: outcomes, copies and counters."""
-    if len(reference.outcomes) != len(candidate.outcomes):
-        return False
-    for expected, actual in zip(reference.outcomes, candidate.outcomes):
-        if (actual.message, actual.delivered, actual.delivery_time,
-                actual.hop_count) != (expected.message, expected.delivered,
-                                      expected.delivery_time,
-                                      expected.hop_count):
-            return False
-    return (candidate.copies_sent == reference.copies_sent
-            and candidate.stats.as_dict() == reference.stats.as_dict())
-
-
 def _bench_dataset_engines(quick: bool) -> dict:
     scale = 0.2 if quick else 0.5
     repeats = 3 if quick else 5
@@ -90,9 +69,6 @@ def _bench_dataset_engines(quick: bool) -> dict:
     records = {}
     for name in ALGORITHMS:
         vector_samples = _time_runs(
-            lambda: VectorSimulator(trace, algorithm_by_name(name)).run(messages),
-            repeats)
-        des_samples = _time_runs(
             lambda: DesSimulator(trace, algorithm_by_name(name)).run(messages),
             repeats)
         constrained_samples = _time_runs(
@@ -100,93 +76,59 @@ def _bench_dataset_engines(quick: bool) -> dict:
                                  constraints=CONSTRAINED).run(messages),
             repeats)
         vector_median = statistics.median(vector_samples)
-        des_median = statistics.median(des_samples)
         constrained_median = statistics.median(constrained_samples)
         records[name] = {
             "vector_s": vector_median,
-            "des_unconstrained_s": des_median,
             "des_constrained_s": constrained_median,
-            "des_vs_vector_overhead": (des_median / vector_median
-                                       if vector_median else None),
             "samples": {
                 "vector": vector_samples,
-                "des_unconstrained": des_samples,
                 "des_constrained": constrained_samples,
             },
         }
-        print(f"  {name:<22s} vector {vector_median * 1e3:8.1f} ms   "
-              f"des {des_median * 1e3:8.1f} ms   "
-              f"constrained {constrained_median * 1e3:8.1f} ms   "
-              f"overhead {des_median / vector_median:5.2f}x")
+        print(f"  {name:<22s} idealized {vector_median * 1e3:8.1f} ms   "
+              f"constrained {constrained_median * 1e3:8.1f} ms")
     return {"dataset": trace.name, "num_messages": len(messages),
             "repeats": repeats, "records": records}
 
 
 def _bench_vector_kernel(quick: bool) -> dict:
     scenario = get_scenario("rwp-city-1k" if quick else "rwp-city-10k")
-    vector_repeats = 3
-    print(f"\nvector kernel: scenario {scenario.name!r} "
-          f"(building the trace...)")
+    repeats = 3
+    print(f"\ncity scale: scenario {scenario.name!r} (building the trace...)")
     trace = scenario.build_trace()
     messages = scenario.build_messages(trace, 0)
     num_events = 2 * len(trace) + len(messages)
     print(f"  {trace.num_nodes} nodes, {len(trace)} contacts, "
           f"{len(messages)} messages")
 
-    def _des_run():
+    def _run():
         return DesSimulator(trace, protocol_by_name(VECTOR_PROTOCOL),
                             constraints=scenario.constraints,
                             seed=scenario.seed).run(messages)
 
-    def _vector_run():
-        return VectorSimulator(trace, protocol_by_name(VECTOR_PROTOCOL),
-                               constraints=scenario.constraints,
-                               seed=scenario.seed).run(messages)
-
-    # one timed DES reference run (minutes at the 10k scale — one is enough)
-    started = time.perf_counter()
-    reference = _des_run()
-    des_seconds = time.perf_counter() - started
-    print(f"  des    {des_seconds:8.2f} s")
-
-    # untimed warmup run doubling as the equivalence check: no speedup is
-    # recorded unless the delivery streams actually match
-    warmup = _vector_run()
-    equal = _streams_equal(reference, warmup)
-    if not equal:
-        print("  WARNING: vector delivery stream diverged from des; "
-              "timings recorded without a speedup claim")
-    vector_samples = _time_runs(_vector_run, vector_repeats)
-    vector_median = statistics.median(vector_samples)
-    speedup = des_seconds / vector_median if vector_median else None
-    print(f"  vector {vector_median:8.2f} s   (best of {vector_repeats}: "
-          f"{min(vector_samples):.2f} s)")
-    if equal and speedup is not None:
-        print(f"  vector_speedup {speedup:5.1f}x   delivery streams equal")
-
-    record = {
+    delivered = _run().num_delivered  # untimed warmup
+    samples = _time_runs(_run, repeats)
+    median = statistics.median(samples)
+    print(f"  {median:8.2f} s   (best of {repeats}: {min(samples):.2f} s), "
+          f"{delivered}/{len(messages)} delivered")
+    return {
         "scenario": scenario.name,
         "protocol": VECTOR_PROTOCOL,
         "num_nodes": trace.num_nodes,
         "num_contacts": len(trace),
         "num_messages": len(messages),
-        "delivery_stream_equal": equal,
-        "des_s": des_seconds,
-        "vector_s": vector_median,
-        "des_events_per_s": num_events / des_seconds,
-        "vector_events_per_s": num_events / vector_median,
-        "samples": {"vector": vector_samples},
+        "num_delivered": delivered,
+        "vector_s": median,
+        "vector_events_per_s": num_events / median,
+        "samples": {"vector": samples},
     }
-    if equal and speedup is not None:
-        record["vector_speedup"] = speedup
-    return record
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
                         help="smaller dataset, fewer repetitions, and the "
-                             "1k-node (not 10k-node) vector scenario")
+                             "1k-node (not 10k-node) city scenario")
     parser.add_argument("--benchmark-json", type=Path,
                         default=DEFAULT_BENCHMARK_JSON)
     args = parser.parse_args()

@@ -28,7 +28,6 @@ from ..obs.telemetry import EngineTelemetry, ObsConfig, PhaseTimers, write_metri
 from ..obs.tracing import JsonlTracer
 from ..routing.registry import protocol_by_name
 from ..sim.engine import ConstrainedSimulationResult, DesSimulator
-from ..sim.vector import VectorSimulator
 from .executor import FaultPolicy, JobFailure, resilient_map
 from .plan import ExperimentPlan, PlannedJob, build_plan
 from .pool import process_map
@@ -57,10 +56,9 @@ __all__ = [
 # ----------------------------------------------------------------------
 _WORKER: Dict[str, Dict[str, object]] = {"traces": {}, "messages": {}}
 
-#: (scenario, protocol, run_index, engine, trace_key, messages_key, cache?,
+#: (scenario, protocol, run_index, trace_key, messages_key, cache?,
 #:  trace_path?, telemetry?)
-_JobPayload = Tuple[object, str, int, str, str, str, bool,
-                    Optional[str], bool]
+_JobPayload = Tuple[object, str, int, str, str, bool, Optional[str], bool]
 
 
 def _init_exp_worker(warm_traces: Dict[str, ContactTrace],
@@ -70,7 +68,7 @@ def _init_exp_worker(warm_traces: Dict[str, ContactTrace],
 
 
 def _run_exp_job(payload: _JobPayload) -> ConstrainedSimulationResult:
-    (scenario, protocol, run_index, engine, trace_key, messages_key, cache,
+    (scenario, protocol, run_index, trace_key, messages_key, cache,
      trace_path, want_telemetry) = payload
     traces = _WORKER["traces"]
     trace = traces.get(trace_key) if cache else None
@@ -86,11 +84,10 @@ def _run_exp_job(payload: _JobPayload) -> ConstrainedSimulationResult:
             messages_cache[messages_key] = messages
     tracer = JsonlTracer(trace_path) if trace_path else None
     telemetry = EngineTelemetry() if want_telemetry else None
-    # "trace" is the idealized model, which the plan guarantees by
-    # rejecting constrained grid points; the vector kernel replays it
-    engine_class = DesSimulator if engine == "des" else VectorSimulator
+    # every engine name runs the one engine; "trace" is the idealized
+    # model, which the plan guarantees by rejecting constrained grid points
     try:
-        result = engine_class(trace, protocol_by_name(protocol),
+        result = DesSimulator(trace, protocol_by_name(protocol),
                               constraints=scenario.constraints,
                               copy_semantics=scenario.copy_semantics,
                               seed=scenario.seed, tracer=tracer,
@@ -215,8 +212,8 @@ def execute_plan(
     trace_dir = obs.trace_dir if obs is not None else None
     want_telemetry = bool(obs is not None and obs.wants_telemetry)
     payloads: List[_JobPayload] = [
-        (job.scenario, job.protocol, job.run_index, job.engine,
-         job.trace_key, job.messages_key, trace_cache,
+        (job.scenario, job.protocol, job.run_index, job.trace_key,
+         job.messages_key, trace_cache,
          (str(obs.trace_path(job.job_hash)) if trace_dir else None),
          want_telemetry)
         for job in pending

@@ -34,7 +34,7 @@ from typing import Sequence, Union
 
 from ..contacts import ContactTrace
 from ..routing.base import RoutingProtocol
-from ..sim.vector import VectorSimulator
+from ..sim.engine import DesSimulator
 from .algorithms import ForwardingAlgorithm
 from .messages import Message
 from .results import DeliveryOutcome, SimulationResult
@@ -42,7 +42,7 @@ from .results import DeliveryOutcome, SimulationResult
 __all__ = ["DeliveryOutcome", "SimulationResult", "ForwardingSimulator", "simulate"]
 
 
-class ForwardingSimulator(VectorSimulator):
+class ForwardingSimulator(DesSimulator):
     """Replay a trace under one forwarding algorithm.
 
     Parameters

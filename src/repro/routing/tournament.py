@@ -248,7 +248,6 @@ def run_tournament(
     n_workers: Optional[int] = None,
     obs=None,
     progress=None,
-    engine: Optional[str] = None,
 ) -> TournamentResult:
     """Fan *protocols* × *scenarios* × *seeds* and collect the leaderboard.
 
@@ -260,11 +259,9 @@ def run_tournament(
     trace (where the scenario's trace is seeded) and workloads; every
     protocol within a cell sees exactly the same messages, so the
     comparison is paired.  *num_runs* and *constraints* override the
-    scenario's own values when given; *engine* selects the simulation
-    kernel (one of :data:`repro.exp.ENGINES`, default ``"des"``).  With
-    ``parallel=True`` the whole (scenario × seed × run × protocol) grid is
-    distributed over one process pool; results are identical to a serial
-    run.
+    scenario's own values when given.  With ``parallel=True`` the whole
+    (scenario × seed × run × protocol) grid is distributed over one
+    process pool; results are identical to a serial run.
 
     *obs* (a :class:`repro.obs.ObsConfig`) enables per-job traces and
     engine telemetry; *progress* is the :func:`repro.exp.execute_plan`
@@ -293,7 +290,6 @@ def run_tournament(
         seeds=tuple(seed_list),
         num_runs=num_runs,
         constraints=constraints,
-        engine=engine or "des",
     )
     timers = None
     if obs is not None and obs.profile:

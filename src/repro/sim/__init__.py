@@ -31,7 +31,7 @@ from .engine import (
     simulate_des,
 )
 from .faults import ChannelSpec, ChurnSpec
-from .vector import VectorSimulator, simulate_vector
+from .vector import VectorSimulator
 from .runner import ScenarioRunResult, SweepResult, run_scenario, sweep_scenario
 from .scenarios import (
     DatasetTraceSpec,
@@ -60,7 +60,6 @@ __all__ = [
     "ResourceStats",
     "simulate_des",
     "VectorSimulator",
-    "simulate_vector",
     "ChannelSpec",
     "ChurnSpec",
     "ScenarioRunResult",

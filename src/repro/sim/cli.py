@@ -16,7 +16,6 @@ Commands::
     python -m repro exp run <spec.json> [...]     # declarative grid, resumable
     python -m repro exp resume <spec.json> [...]  # continue an interrupted run
     python -m repro exp status <spec.json> [...]  # done/pending without running
-    python -m repro bench [...]                   # engine timing comparison
     python -m repro obs journeys <trace> [...]    # causal trace analytics
     python -m repro obs bench-check [...]         # perf-regression sentinel
     python -m repro svc serve [...]               # experiment service daemon
@@ -39,15 +38,13 @@ from typing import List, Optional, Sequence
 
 from ..analysis.tables import format_table
 from ..exp.cli import add_exp_commands, dispatch_exp_command
-from ..exp.spec import ENGINES
 from ..obs.cli import add_obs_commands, dispatch_obs_command
 from ..routing.cli import add_routing_commands, dispatch_routing_command
 from ..svc.cli import add_svc_commands, dispatch_svc_command
 from ..scenario import SPEC_CATEGORIES, ScenarioSpec, spec_kinds
-from .engine import DesSimulator, ResourceConstraints
+from .engine import ResourceConstraints
 from .runner import SWEEPABLE_PARAMETERS, run_scenario, sweep_scenario
 from .scenarios import get_scenario, scenarios
-from .vector import VectorSimulator
 
 __all__ = ["main", "build_parser"]
 
@@ -74,9 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="override the scenario's number of workload runs")
     run.add_argument("--seed", type=int, default=None,
                      help="override the scenario's master seed")
-    run.add_argument("--engine", choices=ENGINES, default=None,
-                     help="simulation kernel (default: des; 'vector' is the "
-                          "array-native kernel for city-scale scenarios)")
     run.add_argument("--parallel", action="store_true",
                      help="fan (run x algorithm) simulations over a process pool")
     run.add_argument("--workers", type=int, default=None,
@@ -99,8 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "('inf' or 'none' = unlimited)")
     sweep.add_argument("--runs", type=int, default=None)
     sweep.add_argument("--seed", type=int, default=None)
-    sweep.add_argument("--engine", choices=ENGINES, default=None,
-                       help="simulation kernel (default: des)")
     sweep.add_argument("--parallel", action="store_true")
     sweep.add_argument("--workers", type=int, default=None)
     sweep.add_argument("--json", metavar="PATH", default=None)
@@ -128,15 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_obs_commands(commands)
     add_svc_commands(commands)
 
-    bench = commands.add_parser(
-        "bench", help="time the DES engine against the vector kernel on the "
-                      "idealized model, and DES under constraints")
-    bench.add_argument("--scenario", default="paper-ideal",
-                       help="scenario supplying trace and workload "
-                            "(default: paper-ideal)")
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="timing repetitions per engine (default: 3)")
-    bench.add_argument("--json", metavar="PATH", default=None)
 
     return parser
 
@@ -248,7 +231,7 @@ def _cmd_sim_run(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     result = run_scenario(scenario, num_runs=args.runs, seed=args.seed,
                           parallel=args.parallel, n_workers=args.workers,
-                          obs=obs, engine=args.engine)
+                          obs=obs)
     elapsed = time.perf_counter() - started
     print(f"scenario: {scenario.name} — {scenario.description}")
     print(f"trace: {result.trace_name}  ({result.num_nodes} nodes, "
@@ -270,7 +253,7 @@ def _cmd_sim_sweep(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     sweep = sweep_scenario(scenario, args.param, values, num_runs=args.runs,
                            seed=args.seed, parallel=args.parallel,
-                           n_workers=args.workers, engine=args.engine)
+                           n_workers=args.workers)
     elapsed = time.perf_counter() - started
     print(f"scenario: {scenario.name} — sweeping {args.param} over "
           f"{[('inf' if v is None else v) for v in values]}")
@@ -362,53 +345,8 @@ def _dispatch_scenario_command(args: argparse.Namespace) -> int:
     return _cmd_scenario_kinds()
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    scenario = get_scenario(args.scenario)
-    trace = scenario.build_trace()
-    messages = scenario.build_messages(trace, 0)
-    algorithms = scenario.build_algorithms()
-    repeats = max(1, args.repeats)
-    constrained = scenario.constraints if scenario.is_constrained else \
-        ResourceConstraints(buffer_capacity=4.0, ttl=trace.duration / 4.0)
-
-    def _time(factory) -> float:
-        best = float("inf")
-        for _ in range(repeats):
-            started = time.perf_counter()
-            factory()
-            best = min(best, time.perf_counter() - started)
-        return best
-
-    rows = []
-    for algorithm in algorithms:
-        name = algorithm.name
-        vector_seconds = _time(
-            lambda: VectorSimulator(trace, algorithm).run(messages))
-        des_seconds = _time(
-            lambda: DesSimulator(trace, algorithm).run(messages))
-        des_constrained_seconds = _time(
-            lambda: DesSimulator(trace, algorithm,
-                                 constraints=constrained).run(messages))
-        rows.append({
-            "algorithm": name,
-            "vector_ms": round(vector_seconds * 1e3, 2),
-            "des_ideal_ms": round(des_seconds * 1e3, 2),
-            "des_constrained_ms": round(des_constrained_seconds * 1e3, 2),
-            "des/vector": round(des_seconds / vector_seconds, 2)
-            if vector_seconds > 0 else None,
-        })
-    print(f"engine timing on scenario {scenario.name!r} "
-          f"({trace.num_nodes} nodes, {len(trace)} contacts, "
-          f"{len(messages)} messages; best of {repeats})\n")
-    print(format_table(rows))
-    _write_json(args.json, {"scenario": scenario.name, "rows": rows})
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "scenario":
         return _dispatch_scenario_command(args)
     if args.command == "routing":

@@ -78,7 +78,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import ClassVar, Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from ..contacts import Contact, ContactTrace
+import numpy as np
+
+from ..contacts import ContactTrace
 from ..core.fastpath import NodeInterner
 from ..forwarding.algorithms import ForwardingAlgorithm
 from ..forwarding.history import OnlineContactHistory
@@ -98,7 +100,7 @@ from .events import (
     NODE_UP,
     RETRANSMIT,
     TRANSFER_DONE,
-    EventQueue,
+    Timeline,
 )
 from .faults import ChannelSpec, ChurnSpec
 
@@ -177,14 +179,12 @@ class ResourceConstraints(ConstraintSpec):
     churn: Optional[ChurnSpec] = None
 
     def __post_init__(self) -> None:
-        if self.buffer_capacity is not None and self.buffer_capacity <= 0:
-            raise ValueError("buffer_capacity must be positive or None")
-        if self.bandwidth is not None and self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive or None")
-        if self.ttl is not None and self.ttl <= 0:
-            raise ValueError("ttl must be positive or None")
-        if self.message_size is not None and self.message_size <= 0:
-            raise ValueError("message_size must be positive or None")
+        # written so that NaN fails too: a NaN time or rate would break
+        # the total order the event timeline sorts by
+        for name in ("buffer_capacity", "bandwidth", "ttl", "message_size"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be positive or None")
         if self.drop_policy not in DROP_POLICIES:
             raise ValueError(f"unknown drop policy {self.drop_policy!r}; "
                              f"known: {', '.join(DROP_POLICIES)}")
@@ -338,72 +338,6 @@ class ConstrainedSimulationResult(SimulationResult):
         return merged
 
 
-_Pair = Tuple[int, int]
-
-
-class _DesState:
-    """Mutable per-run DES state over interned node indices.
-
-    The contact/holding structures are lists of ``set``; the vector kernel
-    keeps the same types, so that every iteration order — and therefore the
-    delivery stream — is identical in both.
-    """
-
-    __slots__ = ("interner", "node_of", "active_counts", "active_peers",
-                 "active_until", "holdings", "carried", "ever_held",
-                 "delivered", "dest_index", "buffers", "link_busy",
-                 "progress", "in_flight", "expired", "admission_sequence",
-                 "down", "open_payloads", "severed", "retx_failures",
-                 "pending_retx")
-
-    def __init__(self, interner: NodeInterner, messages: Sequence[Message],
-                 constraints: ResourceConstraints) -> None:
-        self.interner = interner
-        self.node_of = interner.nodes
-        num_nodes = len(interner)
-        self.active_counts: Dict[_Pair, int] = {}
-        self.active_peers: List[Set[int]] = [set() for _ in range(num_nodes)]
-        # active_until[pair] = end of the latest currently open contact
-        self.active_until: Dict[_Pair, float] = {}
-        self.holdings: Dict[int, Dict[int, Tuple[float, int]]] = {}
-        self.carried: List[Set[int]] = [set() for _ in range(num_nodes)]
-        self.ever_held: Dict[int, int] = {}
-        self.delivered: Dict[int, Tuple[float, int]] = {}
-        self.buffers: List[NodeBuffer] = [
-            NodeBuffer(capacity=constraints.buffer_capacity,
-                       policy=constraints.drop_policy)
-            for _ in range(num_nodes)
-        ]
-        # link_busy[pair] = time until which the pair's link is transferring
-        self.link_busy: Dict[_Pair, float] = {}
-        # progress[(message_id, carrier, peer)] = bytes sent in past contacts
-        self.progress: Dict[Tuple[int, int, int], float] = {}
-        self.in_flight: Set[Tuple[int, int, int]] = set()
-        self.expired: Set[int] = set()
-        self.admission_sequence = 0
-        # churn: nodes currently crashed; open contact payloads (tracked
-        # only when churn is active, keyed by payload identity so the
-        # shared start/end payload tuple links the two events); payload ids
-        # whose CONTACT_END must be skipped (truncated early or never
-        # observed because an endpoint was down at the start)
-        self.down: Set[int] = set()
-        self.open_payloads: Dict[int, Tuple[Contact, int, int]] = {}
-        self.severed: Set[int] = set()
-        # channel: consecutive losses per transfer key (drives the backoff)
-        # and transfer keys with a retransmission already scheduled
-        self.retx_failures: Dict[Tuple[int, int, int], int] = {}
-        self.pending_retx: Set[Tuple[int, int, int]] = set()
-        index_of = interner.index_of
-        self.dest_index: Dict[int, int] = {
-            m.id: index_of(m.destination) for m in messages
-        }
-
-    def next_admission(self) -> int:
-        sequence = self.admission_sequence
-        self.admission_sequence += 1
-        return sequence
-
-
 class DesSimulator:
     """Event-driven replay of a trace under resource constraints.
 
@@ -432,7 +366,9 @@ class DesSimulator:
         :class:`repro.obs.RecordingTracer`).  ``None`` (the default)
         disables tracing entirely — every probe site is a single
         ``is not None`` check, and the simulated behaviour never depends
-        on the tracer.
+        on the tracer.  Emissions are buffered through
+        :class:`repro.obs.BufferedTracer` and reach *tracer* in emit order
+        by the end of the run.
     telemetry:
         Optional :class:`repro.obs.EngineTelemetry` collecting event
         counters and buffer-occupancy samples for ``metrics.json``.
@@ -461,13 +397,10 @@ class DesSimulator:
         self._telemetry = telemetry
         self._channel = constraints.active_channel
         self._churn = constraints.active_churn
-        # run-scoped fields, rebound by run()
-        self._state: Optional[_DesState] = None
-        self._history = OnlineContactHistory()
-        self._queue = EventQueue()
-        self._stats = ResourceStats()
-        self._messages_by_id: Dict[int, Message] = {}
-        self._channel_rng = None
+        # transfers take link time or cross a channel: receptions become
+        # dynamic TRANSFER_DONE (and RETRANSMIT) events
+        self._linked = (constraints.bandwidth is not None
+                        or self._channel is not None)
 
     @property
     def constraints(self) -> ResourceConstraints:
@@ -477,417 +410,627 @@ class DesSimulator:
     def run(self, messages: Sequence[Message]) -> ConstrainedSimulationResult:
         """Simulate the delivery of *messages* under the constraints."""
         validate_messages(self._trace, messages)
-        self._protocol.prepare(self._trace)
+        protocol = self._protocol
+        protocol.prepare(self._trace)
+        constraints = self._constraints
+        self._fastpath = bool(getattr(protocol, "vector_fastpath", False))
+        self._approvals_fn = (getattr(protocol, "vector_approvals", None)
+                              if self._fastpath else None)
 
         interner = NodeInterner(self._trace.nodes)
-        index_of = interner.index_of
-        state = self._state = _DesState(interner, messages, self._constraints)
-        self._messages_by_id = {m.id: m for m in messages}
+        index_of = self._index_of = interner.index_of
+        num_nodes = self._num_nodes = len(interner)
+        self._node_of = interner.nodes
         self._history = OnlineContactHistory()
-        self._stats = ResourceStats()
-        queue = self._queue = EventQueue()
+        self._stats = stats = ResourceStats()
 
-        # Initial events: per contact a start then an end, then every
-        # creation, then every expiry, sequence-numbered in that order (the
-        # vector kernel numbers its timeline the same way, so both replay
-        # ties identically).
-        initial = []
-        for contact in self._trace:
-            payload = (contact, index_of(contact.a), index_of(contact.b))
-            initial.append((contact.start, CONTACT_START,
-                            queue.next_sequence(), payload))
-            initial.append((max(contact.end, contact.start), CONTACT_END,
-                            queue.next_sequence(), payload))
-        for message in messages:
-            initial.append((message.creation_time, CREATE,
-                            queue.next_sequence(), message))
-        for message in messages:
-            expiry = self._constraints.effective_expiry(message)
-            if expiry is not None:
-                initial.append((expiry, EXPIRE, queue.next_sequence(), message))
-        # fault events come after the baseline load so that without faults
-        # the sequence numbering — and hence the event stream — is
-        # unchanged; the kind priorities place them correctly regardless
+        # messages are interned to single bits, the repro.core.fastpath
+        # idiom; containers stay keyed by message id so that every set
+        # iteration order — hence the delivery stream — is the frozen one
+        self._messages = message_list = list(messages)
+        self._by_id = {m.id: m for m in message_list}
+        self._bit_of = {m.id: 1 << i for i, m in enumerate(message_list)}
+        self._size_of = {m.id: constraints.effective_size(m)
+                         for m in message_list}
+        self._dest_of = {m.id: index_of(m.destination) for m in message_list}
+        self._active_counts: Dict[int, int] = {}
+        self._active_peers: List[Set[int]] = [set() for _ in range(num_nodes)]
+        self._carried: List[Set[int]] = [set() for _ in range(num_nodes)]
+        self._holdings: Dict[int, Dict[int, Tuple[float, int]]] = {}
+        self._delivered: Dict[int, Tuple[float, int]] = {}
+        # per-node bitmasks over message indices: live copies carried and
+        # messages ever held; plus the messages that can no longer move
+        # (expired, or delivered in stop mode) and those that launched
+        self._carried_bits = [0] * num_nodes
+        self._ever_bits = [0] * num_nodes
+        self._stop_bits = 0
+        self._launched_bits = 0
+        # infinite buffers admit everything and never evict, so the only
+        # observable buffer state is per-node occupancy and its peak: two
+        # float lists updated with the same +=/-=/max sequence NodeBuffer
+        # would apply, skipping the BufferEntry allocations entirely
+        self._fastbuf = constraints.buffer_capacity is None
+        self._buf_used = [0.0] * num_nodes
+        self._buf_peak = [0.0] * num_nodes
+        self._buffers = [] if self._fastbuf else [
+            NodeBuffer(capacity=constraints.buffer_capacity,
+                       policy=constraints.drop_policy)
+            for _ in range(num_nodes)]
+        self._admission_sequence = 0
+        # link state: end of the latest open contact per pair, time until
+        # which each pair's link is busy, bytes sent in past contacts and
+        # hop counts of in-flight transfers, both per (message, carrier,
+        # peer); consecutive losses and pending retransmissions, likewise
+        self._active_until: Dict[int, float] = {}
+        self._link_busy: Dict[int, float] = {}
+        self._progress: Dict[Tuple[int, int, int], float] = {}
+        self._in_flight: Dict[Tuple[int, int, int], int] = {}
+        self._retx_failures: Dict[Tuple[int, int, int], int] = {}
+        self._pending_retx: Set[Tuple[int, int, int]] = set()
         self._channel_rng = (derive_rng(self._seed, "channel")
                              if self._channel is not None else None)
-        if self._churn is not None:
-            schedule = self._churn.schedule(self._trace.nodes,
-                                            self._trace.duration, self._seed)
-            for label, windows in schedule.items():
-                node = index_of(label)
-                for down, up in windows:
-                    initial.append((down, NODE_DOWN,
-                                    queue.next_sequence(), node))
-                    initial.append((up, NODE_UP, queue.next_sequence(), node))
-        queue.extend_sorted(initial)
+        # churn: nodes currently crashed; open contacts (in opening order)
+        # and contacts whose CONTACT_END must be skipped (truncated by a
+        # crash, or never observed because an endpoint was down)
+        self._down: Set[int] = set()
+        self._open: Dict[int, Tuple[int, int]] = {}
+        self._severed: Set[int] = set()
 
+        tracer = self._tracer
+        buffered = self._run_tracer = None
+        if tracer is not None:
+            from ..obs.tracing import BufferedTracer
+
+            buffered = self._run_tracer = BufferedTracer(tracer)
+        timeline = self._timeline = self._build_timeline(message_list)
         telemetry = self._telemetry
         if telemetry is not None:
-            telemetry.begin(engine="des", algorithm=self._protocol.name)
-        buffers = state.buffers
-        while queue:
-            time, kind, _, payload = queue.pop()
-            if kind == CONTACT_START:
-                self._on_contact_start(time, payload)
-            elif kind == CONTACT_END:
-                self._on_contact_end(time, payload)
-            elif kind == CREATE:
-                self._on_create(time, payload)
-            elif kind == TRANSFER_DONE:
-                self._on_transfer_done(time, payload)
-            elif kind == RETRANSMIT:
-                self._on_retransmit(time, payload)
-            elif kind == NODE_DOWN:
-                self._on_node_down(time, payload)
-            elif kind == NODE_UP:
-                self._on_node_up(time, payload)
-            else:  # EXPIRE
-                self._on_expire(time, payload)
-            if telemetry is not None and telemetry.event(_KIND_NAMES[kind],
-                                                         len(queue)):
-                telemetry.sample_buffers(
-                    time, sum(buffer.used for buffer in buffers))
+            telemetry.begin(engine="des", algorithm=protocol.name)
+        try:
+            if (self._fastpath and buffered is None and telemetry is None
+                    and not self._linked and self._churn is None):
+                self._hot_loop(timeline.columns)
+            else:
+                self._general_loop(timeline, telemetry)
+        finally:
+            if buffered is not None:
+                # drain into the caller's tracer; closing it remains the
+                # caller's responsibility
+                buffered.flush()
         if telemetry is not None:
             telemetry.finish()
 
         outcomes = []
-        for message in messages:
-            if message.id in state.delivered:
-                delivery_time, hops = state.delivered[message.id]
-                outcomes.append(DeliveryOutcome(message=message, delivered=True,
-                                                delivery_time=delivery_time,
-                                                hop_count=hops))
+        delivered = self._delivered
+        for message in message_list:
+            if message.id in delivered:
+                delivery_time, hops = delivered[message.id]
+                outcomes.append(DeliveryOutcome(
+                    message=message, delivered=True,
+                    delivery_time=delivery_time, hop_count=hops))
             else:
-                outcomes.append(DeliveryOutcome(message=message, delivered=False,
-                                                delivery_time=None, hop_count=None))
-        stats = self._stats
+                outcomes.append(DeliveryOutcome(
+                    message=message, delivered=False,
+                    delivery_time=None, hop_count=None))
         stats.peak_buffer_occupancy = max(
-            (buffer.peak_used for buffer in state.buffers), default=0.0)
-        self._state = None
+            self._buf_peak if self._fastbuf
+            else (buffer.peak_used for buffer in self._buffers), default=0.0)
+        self._timeline = None
         return ConstrainedSimulationResult(
-            algorithm=self._protocol.name, trace_name=self._trace.name,
+            algorithm=protocol.name, trace_name=self._trace.name,
             outcomes=outcomes, copies_sent=stats.copies_sent,
-            constraints=self._constraints, stats=stats)
+            constraints=constraints, stats=stats)
+
+    # ------------------------------------------------------------------
+    # the timeline and the two dispatch loops
+    # ------------------------------------------------------------------
+    def _build_timeline(self, messages: List[Message]) -> Timeline:
+        """Every static event of the run, as one presorted :class:`Timeline`.
+
+        Operands per kind: contact start/end carry the interned endpoints
+        ``a <= b`` and the contact's trace index; creation and expiry the
+        message's index; crash and reboot the interned node.  Within each
+        kind, sequence order is trace order, message order and churn
+        schedule order, as the engine has always numbered them.
+        """
+        starts, ends, a_labels, b_labels = self._trace.as_arrays()
+        num_contacts = len(starts)
+        node_array = np.asarray(self._node_of)
+        if (num_contacts and node_array.dtype.kind in "iuf"
+                and a_labels.dtype.kind in "iuf"):
+            # numeric labels: intern both endpoint columns in two
+            # vectorized binary searches over the sorted node table
+            a_index = np.searchsorted(node_array, a_labels)
+            b_index = np.searchsorted(node_array, b_labels)
+        else:
+            index_of = self._index_of
+            a_index = np.fromiter((index_of(label) for label in a_labels),
+                                  dtype=np.int64, count=num_contacts)
+            b_index = np.fromiter((index_of(label) for label in b_labels),
+                                  dtype=np.int64, count=num_contacts)
+        until = np.maximum(ends, starts)
+        if self._linked:
+            self._until = until.tolist()
+        columns: Tuple[list, ...] = ([], [], [], [], [])
+
+        def add(kind, times, a, b=None, c=None):
+            count = len(times)
+            unused = np.zeros(count, dtype=np.int64)
+            columns[0].append(np.asarray(times, dtype=np.float64))
+            columns[1].append(np.full(count, kind, dtype=np.int64))
+            columns[2].append(np.asarray(a, dtype=np.int64))
+            columns[3].append(unused if b is None else b)
+            columns[4].append(unused if c is None else c)
+
+        contact_index = np.arange(num_contacts, dtype=np.int64)
+        add(CONTACT_START, starts, a_index, b_index, contact_index)
+        add(CONTACT_END, until, a_index, b_index, contact_index)
+        add(CREATE, [m.creation_time for m in messages], range(len(messages)))
+        expiring = [(index, expiry) for index, expiry in (
+            (index, self._constraints.effective_expiry(m))
+            for index, m in enumerate(messages)) if expiry is not None]
+        add(EXPIRE, [expiry for _, expiry in expiring],
+            [index for index, _ in expiring])
+        if self._churn is not None:
+            schedule = self._churn.schedule(self._trace.nodes,
+                                            self._trace.duration, self._seed)
+            windows = [(self._index_of(label), down, up)
+                       for label, spans in schedule.items()
+                       for down, up in spans]
+            add(NODE_DOWN, [down for _, down, _ in windows],
+                [node for node, _, _ in windows])
+            add(NODE_UP, [up for _, _, up in windows],
+                [node for node, _, _ in windows])
+        return Timeline(*(np.concatenate(column) for column in columns))
+
+    def _hot_loop(self, columns) -> None:
+        """The dispatch loop for the common case: fast-path protocol, no
+        tracer, no telemetry, and no event that could be pushed or cut a
+        contact short (no bandwidth, channel or churn).
+
+        Contact bookkeeping is inlined (no per-event method call, state
+        containers bound to locals) so the millions of screened-out
+        contact events of a saturated city-scale run cost a handful of
+        interpreter ops each.  It does exactly what :meth:`_general_loop`
+        and the contact handlers do under those preconditions.
+        """
+        counts = self._active_counts
+        counts_get = counts.get
+        counts_pop = counts.pop
+        active_peers = self._active_peers
+        carried_bits = self._carried_bits
+        ever_bits = self._ever_bits
+        num_nodes = self._num_nodes
+        offer = self._offer
+        on_create = self._on_create
+        on_expire = self._on_expire
+        for time, kind, a, b, _ in zip(*columns):
+            if kind == CONTACT_START:
+                pair = a * num_nodes + b
+                counts[pair] = counts_get(pair, 0) + 1
+                active_peers[a].add(b)
+                active_peers[b].add(a)
+                # the second screen rereads the stop mask because the
+                # first direction may deliver
+                cand = carried_bits[a] & ~(ever_bits[b] | self._stop_bits)
+                if cand:
+                    offer(a, b, time, cand)
+                cand = carried_bits[b] & ~(ever_bits[a] | self._stop_bits)
+                if cand:
+                    offer(b, a, time, cand)
+            elif kind == CONTACT_END:
+                pair = a * num_nodes + b
+                remaining = counts_get(pair, 0) - 1
+                if remaining <= 0:
+                    counts_pop(pair, None)
+                    active_peers[a].discard(b)
+                    active_peers[b].discard(a)
+                else:
+                    counts[pair] = remaining
+            elif kind == CREATE:
+                on_create(time, a)
+            else:  # EXPIRE
+                on_expire(time, a)
+
+    def _general_loop(self, timeline: Timeline, telemetry) -> None:
+        """The dispatch loop for everything else, over the merged timeline."""
+        on_contact_start = self._on_contact_start
+        on_contact_end = self._on_contact_end
+        # only bandwidth and channel runs push events; the others walk the
+        # static columns without the merge
+        linked = self._linked
+        events = iter(timeline) if linked else zip(*timeline.columns)
+        remaining = len(timeline)
+        for time, kind, a, b, c in events:
+            if kind == CONTACT_START:
+                on_contact_start(time, a, b, c)
+            elif kind == CONTACT_END:
+                on_contact_end(time, a, b, c)
+            elif kind == CREATE:
+                self._on_create(time, a)
+            elif kind == TRANSFER_DONE:
+                self._on_transfer_done(time, a, b, c)
+            elif kind == RETRANSMIT:
+                self._on_retransmit(time, a, b, c)
+            elif kind == NODE_DOWN:
+                self._on_node_down(time, a)
+            elif kind == NODE_UP:
+                self._on_node_up(time, a)
+            else:  # EXPIRE
+                self._on_expire(time, a)
+            if telemetry is None:
+                continue
+            remaining = len(timeline) if linked else remaining - 1
+            if telemetry.event(_KIND_NAMES[kind], remaining):
+                telemetry.sample_buffers(
+                    time, sum(self._buf_used) if self._fastbuf
+                    else sum(buffer.used for buffer in self._buffers))
 
     # ------------------------------------------------------------------
     # event handlers
     # ------------------------------------------------------------------
-    def _on_contact_start(self, time: float,
-                          payload: Tuple[Contact, int, int]) -> None:
-        state = self._state
-        contact, a, b = payload
-        if state.down and (a in state.down or b in state.down):
+    def _on_contact_start(self, time: float, a: int, b: int,
+                          contact: int) -> None:
+        down = self._down
+        if down and (a in down or b in down):
             # a contact is only ever observed from its start: with an
             # endpoint down, neither the protocols nor the history see it,
             # and its CONTACT_END is skipped via the severed mark
-            state.severed.add(id(payload))
+            self._severed.add(contact)
             self._stats.truncated_contacts += 1
             return
         if self._churn is not None:
-            state.open_payloads[id(payload)] = payload
-        if self._tracer is not None:
-            self._tracer.emit("contact_start", time, a=contact.a, b=contact.b)
-        self._history.record(contact.a, contact.b, time)
-        self._protocol.on_contact_start(contact.a, contact.b, time, self._history)
-        pair = (a, b) if a <= b else (b, a)
-        state.active_counts[pair] = state.active_counts.get(pair, 0) + 1
-        state.active_peers[a].add(b)
-        state.active_peers[b].add(a)
-        until = max(contact.end, contact.start)
-        existing = state.active_until.get(pair)
-        if existing is None or until > existing:
-            state.active_until[pair] = until
-        # both endpoints offer each other their carried messages
-        by_id = self._messages_by_id
-        for carrier, peer in ((a, b), (b, a)):
-            for message_id in list(state.carried[carrier]):
-                self._attempt(by_id[message_id], carrier, peer, time)
+            self._open[contact] = (a, b)
+        if self._run_tracer is not None:
+            self._run_tracer.emit("contact_start", time,
+                                  a=self._node_of[a], b=self._node_of[b])
+        if not self._fastpath:
+            node_of = self._node_of
+            self._history.record(node_of[a], node_of[b], time)
+            self._protocol.on_contact_start(node_of[a], node_of[b], time,
+                                            self._history)
+        pair = a * self._num_nodes + b
+        counts = self._active_counts
+        counts[pair] = counts.get(pair, 0) + 1
+        self._active_peers[a].add(b)
+        self._active_peers[b].add(a)
+        if self._linked:
+            until = self._until[contact]
+            existing = self._active_until.get(pair)
+            if existing is None or until > existing:
+                self._active_until[pair] = until
+        # both endpoints offer each other their carried messages; the
+        # second screen rereads the stop mask because the first direction
+        # may deliver (_offer documents why skipping is counter-neutral)
+        carried_bits = self._carried_bits
+        ever_bits = self._ever_bits
+        cand = carried_bits[a] & ~(ever_bits[b] | self._stop_bits)
+        if cand:
+            self._offer(a, b, time, cand)
+        cand = carried_bits[b] & ~(ever_bits[a] | self._stop_bits)
+        if cand:
+            self._offer(b, a, time, cand)
 
-    def _on_contact_end(self, time: float,
-                        payload: Tuple[Contact, int, int]) -> None:
-        state = self._state
-        if state.severed and id(payload) in state.severed:
+    def _on_contact_end(self, time: float, a: int, b: int, contact: int,
+                        truncated: bool = False) -> None:
+        """Close a contact at its trace end, or early (*truncated*) when a
+        crash cuts it short."""
+        if self._severed and contact in self._severed:
             # truncated at a crash (bookkeeping and the protocol hook fired
             # then) or never observed (an endpoint was down at the start)
-            state.severed.discard(id(payload))
+            self._severed.discard(contact)
             return
         if self._churn is not None:
-            state.open_payloads.pop(id(payload), None)
-        contact, a, b = payload
-        pair = (a, b) if a <= b else (b, a)
-        remaining = state.active_counts.get(pair, 0) - 1
+            del self._open[contact]
+            if truncated:
+                self._severed.add(contact)
+                self._stats.truncated_contacts += 1
+        pair = a * self._num_nodes + b
+        counts = self._active_counts
+        remaining = counts.get(pair, 0) - 1
         if remaining <= 0:
-            state.active_counts.pop(pair, None)
-            state.active_peers[a].discard(b)
-            state.active_peers[b].discard(a)
-            state.active_until.pop(pair, None)
+            counts.pop(pair, None)
+            self._active_peers[a].discard(b)
+            self._active_peers[b].discard(a)
+            if self._linked:
+                del self._active_until[pair]
         else:
-            state.active_counts[pair] = remaining
-        if self._tracer is not None:
-            self._tracer.emit("contact_end", time, a=contact.a, b=contact.b)
-        self._protocol.on_contact_end(contact.a, contact.b, time, self._history)
+            counts[pair] = remaining
+        node_of = self._node_of
+        if self._run_tracer is not None:
+            if truncated:
+                self._run_tracer.emit("contact_end", time, a=node_of[a],
+                                      b=node_of[b], truncated=True)
+            else:
+                self._run_tracer.emit("contact_end", time,
+                                      a=node_of[a], b=node_of[b])
+        if not self._fastpath:
+            self._protocol.on_contact_end(node_of[a], node_of[b], time,
+                                          self._history)
 
-    def _on_create(self, time: float, message: Message) -> None:
-        state = self._state
-        tracer = self._tracer
+    def _on_create(self, time: float, index: int) -> None:
+        message = self._messages[index]
+        message_id = message.id
+        tracer = self._run_tracer
         if tracer is not None:
-            tracer.emit("create", time, msg=message.id, src=message.source,
+            tracer.emit("create", time, msg=message_id, src=message.source,
                         dst=message.destination)
-        source_index = state.interner.index_of(message.source)
-        if state.down and source_index in state.down:
+        source = self._index_of(message.source)
+        if self._down and source in self._down:
             # a down source never emits the message — it counts as a
             # source rejection, like a full source buffer
-            self._stats.source_rejections += 1
-            if tracer is not None:
-                tracer.emit("drop", time, msg=message.id, node=message.source,
-                            reason="source_rejected")
+            self._reject_source(message, time)
             return
         self._protocol.on_message_created(message, time)
-        source = source_index
-        entry = BufferEntry(message_id=message.id,
-                            size=self._constraints.effective_size(message),
-                            receive_time=time, sequence=state.next_admission())
-        admitted, evicted = state.buffers[source].admit(entry)
+        admitted, evicted = self._admit(source, message_id, time)
         if not admitted:
-            self._stats.source_rejections += 1
-            if tracer is not None:
-                tracer.emit("drop", time, msg=message.id, node=message.source,
-                            reason="source_rejected")
+            self._reject_source(message, time)
             return
-        state.holdings[message.id] = {source: (time, 0)}
-        state.carried[source].add(message.id)
-        state.ever_held[message.id] = 1 << source
-        self._drop_evicted(source, evicted, time)
+        bit = self._bit_of[message_id]
+        self._holdings[message_id] = {source: (time, 0)}
+        # carried-set mutations keep their historical order (add before
+        # evicting victims): set iteration order downstream depends on the
+        # mutation history, and _offer walks that order
+        self._carried[source].add(message_id)
+        self._carried_bits[source] |= bit
+        self._ever_bits[source] |= bit
+        self._launched_bits |= bit
+        if evicted:
+            self._drop_evicted(source, evicted, time)
         self._cascade(message, source, time)
 
-    def _on_expire(self, time: float, message: Message) -> None:
-        state = self._state
-        message_id = message.id
-        state.expired.add(message_id)
-        holders = state.holdings.pop(message_id, None)
-        if self._tracer is not None:
-            self._tracer.emit("expire", time, msg=message_id,
-                              copies=len(holders) if holders else 0)
+    def _reject_source(self, message: Message, time: float) -> None:
+        self._stats.source_rejections += 1
+        if self._run_tracer is not None:
+            self._run_tracer.emit("drop", time, msg=message.id,
+                                  node=message.source,
+                                  reason="source_rejected")
+
+    def _on_expire(self, time: float, index: int) -> None:
+        message_id = self._messages[index].id
+        bit = self._bit_of[message_id]
+        self._stop_bits |= bit
+        holders = self._holdings.pop(message_id, None)
+        if self._run_tracer is not None:
+            self._run_tracer.emit("expire", time, msg=message_id,
+                                  copies=len(holders) if holders else 0)
         if holders:
             for node in holders:
-                state.carried[node].discard(message_id)
-                state.buffers[node].remove(message_id)
+                self._forget(node, message_id, bit)
             self._stats.expired_copies += len(holders)
         # a message rejected at its source buffer never existed — it counts
         # as a source rejection, not additionally as an expiry
-        if message_id not in state.delivered and message_id in state.ever_held:
+        if message_id not in self._delivered and self._launched_bits & bit:
             self._stats.expired_messages += 1
 
     def _on_node_down(self, time: float, node: int) -> None:
-        state = self._state
-        tracer = self._tracer
-        state.down.add(node)
+        tracer = self._run_tracer
+        node_of = self._node_of
+        self._down.add(node)
         self._stats.node_crashes += 1
         if tracer is not None:
-            tracer.emit("crash", time, node=state.node_of[node])
+            tracer.emit("crash", time, node=node_of[node])
         # truncate every open contact touching the node: the pair
         # bookkeeping and the protocol's contact-end hook run now, and the
-        # trace's own CONTACT_END for these payloads is suppressed
-        for payload_id, payload in list(state.open_payloads.items()):
-            contact, a, b = payload
-            if a != node and b != node:
-                continue
-            del state.open_payloads[payload_id]
-            state.severed.add(payload_id)
-            self._stats.truncated_contacts += 1
-            pair = (a, b) if a <= b else (b, a)
-            remaining = state.active_counts.get(pair, 0) - 1
-            if remaining <= 0:
-                state.active_counts.pop(pair, None)
-                state.active_peers[a].discard(b)
-                state.active_peers[b].discard(a)
-                state.active_until.pop(pair, None)
-            else:
-                state.active_counts[pair] = remaining
-            if tracer is not None:
-                tracer.emit("contact_end", time, a=contact.a, b=contact.b,
-                            truncated=True)
-            self._protocol.on_contact_end(contact.a, contact.b, time,
-                                          self._history)
+        # trace's own CONTACT_END for these contacts is suppressed
+        for contact, (a, b) in list(self._open.items()):
+            if a == node or b == node:
+                self._on_contact_end(time, a, b, contact, truncated=True)
         # the crash wipes the node's buffer: every carried copy is lost
-        for message_id in list(state.carried[node]):
+        for message_id in list(self._carried[node]):
             self._drop_copy(node, message_id)
             self._stats.churn_dropped_copies += 1
             if tracer is not None:
                 tracer.emit("drop", time, msg=message_id,
-                            node=state.node_of[node], reason="churn")
+                            node=node_of[node], reason="churn")
 
     def _on_node_up(self, time: float, node: int) -> None:
         # the node rejoins empty; contacts that started during the outage
         # stay unobserved for their remainder (a contact is only ever
         # entered at its start event)
-        self._state.down.discard(node)
-        if self._tracer is not None:
-            self._tracer.emit("reboot", time, node=self._state.node_of[node])
+        self._down.discard(node)
+        if self._run_tracer is not None:
+            self._run_tracer.emit("reboot", time, node=self._node_of[node])
 
-    def _on_retransmit(self, time: float,
-                       payload: Tuple[Message, int, int]) -> None:
+    def _on_retransmit(self, time: float, message: Message, carrier: int,
+                       peer: int) -> None:
         """A lost transfer's backoff expired: try again, if still sane."""
-        message, carrier, peer = payload
-        state = self._state
-        state.pending_retx.discard((message.id, carrier, peer))
+        self._pending_retx.discard((message.id, carrier, peer))
         # _attempt re-checks every guard (copy still held, contact still
         # open, endpoints up, not delivered/expired) and re-evaluates the
         # forwarding decision at the current history
         self._attempt(message, carrier, peer, time)
 
-    def _on_transfer_done(
-        self, time: float,
-        payload: Tuple[Message, int, int, int],
-    ) -> None:
+    def _on_transfer_done(self, time: float, message: Message, carrier: int,
+                          peer: int) -> None:
         """A bandwidth-delayed transfer finished moving its last byte."""
-        state = self._state
-        message, carrier, peer, hops = payload
         key = (message.id, carrier, peer)
-        state.in_flight.discard(key)
-        state.progress.pop(key, None)
-        state.retx_failures.pop(key, None)
+        hops = self._in_flight.pop(key)
+        self._progress.pop(key, None)
+        self._retx_failures.pop(key, None)
         # The bytes are already on the air when the carrier evicts its copy,
         # so eviction does not cancel the transfer; expiry, a completed
         # delivery (in stop mode), a duplicate reception and a crashed
         # receiver do.
-        if (message.id in state.expired
-                or (message.id in state.delivered and self._stop_on_delivery)
-                or state.ever_held.get(message.id, 0) >> peer & 1
-                or peer in state.down):
+        bit = self._bit_of[message.id]
+        if ((self._stop_bits | self._ever_bits[peer]) & bit
+                or peer in self._down):
             self._stats.cancelled_transfers += 1
-            if self._tracer is not None:
-                self._tracer.emit("drop", time, msg=message.id,
-                                  node=state.node_of[peer], reason="cancelled")
+            if self._run_tracer is not None:
+                self._run_tracer.emit("drop", time, msg=message.id,
+                                      node=self._node_of[peer],
+                                      reason="cancelled")
             return
-        received = self._receive(message, peer, time, hops, carrier)
-        if not received:
-            return
-        node_of = state.node_of
-        if peer != state.dest_index[message.id]:
-            self._protocol.on_forwarded(message, node_of[carrier],
-                                        node_of[peer], time)
-            if self._tracer is not None:
-                self._tracer.emit("forward", time, msg=message.id,
-                                  src=node_of[carrier], dst=node_of[peer],
-                                  hops=hops)
-            # mirror the instantaneous path: delivery at the destination
-            # neither costs the carrier its copy (hand-off) nor cascades
-            if not self._copy:
-                self._drop_copy(carrier, message.id)
+        if self._receive(message, peer, time, hops, carrier) \
+                and peer != self._dest_of[message.id]:
+            self._relayed(message, carrier, peer, time, hops)
             self._cascade(message, peer, time)
 
     # ------------------------------------------------------------------
-    # transfer machinery
+    # the exchange path
     # ------------------------------------------------------------------
-    def _cascade(self, message: Message, start_node: int, time: float) -> None:
-        """Zero-time relay over currently active contacts."""
-        state = self._state
-        frontier = [start_node]
-        while frontier:
-            node = frontier.pop()
-            for peer in list(state.active_peers[node]):
-                if self._attempt(message, node, peer, time, cascade=False):
-                    frontier.append(peer)
+    def _offer(self, carrier: int, peer: int, time: float, cand: int) -> None:
+        """One direction of a contact's exchange, bitmask-screened.
 
-    def _attempt(self, message: Message, carrier: int, peer: int, time: float,
-                 cascade: bool = True) -> bool:
+        *cand* is ``carried[carrier] & ~(ever_held[peer] | stopped)``,
+        computed (and found non-zero) by the caller.  The screen removes
+        exactly the offers :meth:`_attempt`'s own guards reject (no live
+        copy at the carrier, peer already ever held the message, message
+        stopped/expired), so skipping them changes neither the delivery
+        stream nor the decision counters.  The candidate mask is a
+        snapshot taken once per direction; batch soundness of that
+        snapshot is argued in :mod:`repro.routing.vector`.
+        """
+        bit_of = self._bit_of
+        by_id = self._by_id
+        batch = [by_id[mid] for mid in list(self._carried[carrier])
+                 if bit_of[mid] & cand]
+        approvals_fn = self._approvals_fn
+        if approvals_fn is None:
+            for message in batch:
+                self._attempt(message, carrier, peer, time)
+            return
+        node_of = self._node_of
+        verdicts = approvals_fn(node_of[carrier], node_of[peer], batch, time)
+        for message, approved in zip(batch, verdicts):
+            self._attempt(message, carrier, peer, time, approved=approved)
+
+    def _attempt(self, message: Message, carrier: int, peer: int,
+                 time: float, cascade: bool = True,
+                 approved: Optional[bool] = None) -> bool:
         """Attempt to move *message* from *carrier* to *peer* at *time*.
 
         Returns True if the peer received a copy instantly (delivery
         included) — a scheduled, bandwidth-delayed transfer returns False
-        because the peer holds nothing yet.  Every non-destination offer
-        that passes the guards is one forwarding decision in the stats.
+        because the peer holds nothing yet.  This is the engine's one
+        forwarding-decision site: *approved* is the verdict of a batch
+        that already judged the offer, and without one the protocol
+        decides here.  Either way every non-destination offer that passes
+        the guards is one forwarding decision in the stats.
         """
-        state = self._state
         message_id = message.id
-        holders = state.holdings.get(message_id)
-        if holders is None or carrier not in holders:
+        bit = self._bit_of[message_id]
+        if not self._carried_bits[carrier] & bit:
             return False
-        if state.down and (carrier in state.down or peer in state.down):
+        down = self._down
+        if down and (carrier in down or peer in down):
             return False
-        if message_id in state.delivered and self._stop_on_delivery:
+        if (self._stop_bits | self._ever_bits[peer]) & bit:
             return False
-        if state.ever_held[message_id] >> peer & 1:
-            return False
-        receive_time, hops = holders[carrier]
+        receive_time, hops = self._holdings[message_id][carrier]
         if time < receive_time:
             return False
-        is_destination = peer == state.dest_index[message_id]
+        hops += 1
+        is_destination = peer == self._dest_of[message_id]
         if not is_destination:
-            self._stats.forwarding_decisions += 1
-            if not self._protocol.should_forward(
-                    state.node_of[carrier], state.node_of[peer],
-                    message, time, self._history):
+            stats = self._stats
+            stats.forwarding_decisions += 1
+            if approved is None:
+                node_of = self._node_of
+                approved = self._protocol.should_forward(
+                    node_of[carrier], node_of[peer], message, time,
+                    self._history)
+            if not approved:
                 return False
-            self._stats.forwarding_approvals += 1
-        if self._constraints.bandwidth is not None or self._channel is not None:
-            self._schedule_transfer(message, carrier, peer, time, hops + 1)
+            stats.forwarding_approvals += 1
+        if self._linked:
+            self._schedule_transfer(message, carrier, peer, time, hops)
             return False
-        # instantaneous transfer
-        received = self._receive(message, peer, time, hops + 1, carrier)
-        if not received:
+        if not self._receive(message, peer, time, hops, carrier):
             return False
         if is_destination:
             # delivery neither triggers a cascade from the destination nor
             # a hand-off removal
             return True
-        self._protocol.on_forwarded(message, state.node_of[carrier],
-                                    state.node_of[peer], time)
-        if self._tracer is not None:
-            self._tracer.emit("forward", time, msg=message_id,
-                              src=state.node_of[carrier],
-                              dst=state.node_of[peer], hops=hops + 1)
-        if not self._copy:
-            self._drop_copy(carrier, message_id)
+        self._relayed(message, carrier, peer, time, hops)
         if cascade:
             self._cascade(message, peer, time)
         return True
 
+    def _relayed(self, message: Message, carrier: int, peer: int,
+                 time: float, hops: int) -> None:
+        """A relay copy reached *peer*: hooks, probe and hand-off."""
+        node_of = self._node_of
+        self._protocol.on_forwarded(message, node_of[carrier], node_of[peer],
+                                    time)
+        if self._run_tracer is not None:
+            self._run_tracer.emit("forward", time, msg=message.id,
+                                  src=node_of[carrier], dst=node_of[peer],
+                                  hops=hops)
+        if not self._copy:
+            self._drop_copy(carrier, message.id)
+
+    def _cascade(self, message: Message, start_node: int,
+                 time: float) -> None:
+        """Zero-time relay over active contacts, bit-screened per peer.
+
+        The traversal is a stack with a ``list(set)`` snapshot per node;
+        the inline bit tests skip exactly the attempts :meth:`_attempt`'s
+        guards would reject, without touching any counter.
+        """
+        bit = self._bit_of[message.id]
+        ever_bits = self._ever_bits
+        active_peers = self._active_peers
+        attempt = self._attempt
+        frontier = [start_node]
+        while frontier:
+            node = frontier.pop()
+            if self._stop_bits & bit:
+                # the message was delivered mid-cascade (stop mode): every
+                # remaining attempt would be guard-rejected, count-free
+                break
+            if not self._carried_bits[node] & bit:
+                continue  # hand-off moved the copy on; nothing to offer
+            for peer in list(active_peers[node]):
+                if ever_bits[peer] & bit:
+                    continue
+                if attempt(message, node, peer, time, cascade=False):
+                    frontier.append(peer)
+
     def _schedule_transfer(self, message: Message, carrier: int, peer: int,
                            time: float, hops: int) -> None:
         """Queue the transfer on the pair's (possibly faulty) link."""
-        state = self._state
-        stats = self._stats
         key = (message.id, carrier, peer)
-        if key in state.in_flight or key in state.pending_retx:
+        in_flight = self._in_flight
+        if key in in_flight or key in self._pending_retx:
             return
         if not self._copy and any(
                 flight[0] == message.id and flight[1] == carrier
-                for flight in state.in_flight):
+                for flight in in_flight):
             # hand-off: the carrier's single copy is already committed to an
             # in-flight transfer; offering it to a second peer would fork it
             return
-        pair = (carrier, peer) if carrier <= peer else (peer, carrier)
-        contact_end = state.active_until.get(pair)
+        pair = (carrier * self._num_nodes + peer if carrier <= peer
+                else peer * self._num_nodes + carrier)
+        contact_end = self._active_until.get(pair)
         if contact_end is None:
             return
         rate = self._constraints.bandwidth
+        size = self._size_of[message.id]
         if rate is None:
             # channel faults without a bandwidth model: the link itself is
             # instantaneous (no serialization, no partial progress), only
             # loss and propagation delay apply
-            self._launch(message, carrier, peer, time, hops,
-                         self._constraints.effective_size(message),
-                         time, contact_end)
+            self._launch(message, carrier, peer, time, hops, size, time,
+                         contact_end)
             return
-        start = max(time, state.link_busy.get(pair, time))
+        stats = self._stats
+        start = max(time, self._link_busy.get(pair, time))
         if start >= contact_end:
             return  # no link capacity left in this contact
-        already_sent = state.progress.get(key, 0.0)
+        already_sent = self._progress.get(key, 0.0)
         if already_sent > 0.0:
             stats.resumed_transfers += 1
-        remaining = max(self._constraints.effective_size(message) - already_sent,
-                        0.0)
+        remaining = max(size - already_sent, 0.0)
         completion = start + remaining / rate
         if completion <= contact_end:
-            state.link_busy[pair] = completion
+            self._link_busy[pair] = completion
             self._launch(message, carrier, peer, time, hops, remaining,
                          completion, contact_end)
         else:
             sent_now = rate * (contact_end - start)
-            state.progress[key] = already_sent + sent_now
-            state.link_busy[pair] = contact_end
+            self._progress[key] = already_sent + sent_now
+            self._link_busy[pair] = contact_end
             stats.bytes_sent += sent_now
             stats.partial_transfers += 1
 
@@ -896,49 +1039,68 @@ class DesSimulator:
                 contact_end: float) -> None:
         """Put *size* bytes on the air; the channel decides their fate.
 
-        Without a channel spec this is the historical success path: the
-        reception fires at *completion*.  With one, the transfer is lost
-        with probability ``loss`` — the bytes and link time are spent
-        either way — and a lost transfer schedules a retransmission after
-        a capped exponential backoff, strictly within the contact.
+        Without a channel spec the reception fires at *completion*.  With
+        one, the transfer is lost with probability ``loss`` — the bytes
+        and link time are spent either way — and a lost transfer schedules
+        a retransmission after a capped exponential backoff, strictly
+        within the contact.
         """
-        state = self._state
         stats = self._stats
         key = (message.id, carrier, peer)
         channel = self._channel
+        tracer = self._run_tracer
+        node_of = self._node_of
         stats.bytes_sent += size
         if channel is not None and channel.loss > 0.0 \
                 and self._channel_rng.random() < channel.loss:
             stats.lost_transfers += 1
-            if self._tracer is not None:
-                self._tracer.emit("loss", time, msg=message.id,
-                                  src=state.node_of[carrier],
-                                  dst=state.node_of[peer])
-            state.progress.pop(key, None)  # the lost bytes resend in full
-            failures = state.retx_failures.get(key, 0)
+            if tracer is not None:
+                tracer.emit("loss", time, msg=message.id,
+                            src=node_of[carrier], dst=node_of[peer])
+            self._progress.pop(key, None)  # the lost bytes resend in full
+            failures = self._retx_failures.get(key, 0)
             retry_at = completion + channel.backoff(failures)
             if (channel.retx_limit is None or failures < channel.retx_limit) \
                     and retry_at < contact_end:
-                state.retx_failures[key] = failures + 1
-                state.pending_retx.add(key)
+                self._retx_failures[key] = failures + 1
+                self._pending_retx.add(key)
                 stats.retransmissions += 1
-                if self._tracer is not None:
-                    self._tracer.emit("retransmit", time, msg=message.id,
-                                      src=state.node_of[carrier],
-                                      dst=state.node_of[peer], at=retry_at)
-                self._queue.push(retry_at, RETRANSMIT, (message, carrier, peer))
+                if tracer is not None:
+                    tracer.emit("retransmit", time, msg=message.id,
+                                src=node_of[carrier], dst=node_of[peer],
+                                at=retry_at)
+                self._timeline.push(retry_at, RETRANSMIT, message, carrier,
+                                    peer)
             else:
                 # give up for this contact; a fresh offer (next contact
                 # start, or a later cascade) restarts the backoff ladder
-                state.retx_failures.pop(key, None)
+                self._retx_failures.pop(key, None)
             return
-        state.in_flight.add(key)
+        self._in_flight[key] = hops
         arrival = completion
         if channel is not None:
             arrival += channel.delay
             if channel.jitter > 0.0:
                 arrival += channel.jitter * self._channel_rng.random()
-        self._queue.push(arrival, TRANSFER_DONE, (message, carrier, peer, hops))
+        self._timeline.push(arrival, TRANSFER_DONE, message, carrier, peer)
+
+    # ------------------------------------------------------------------
+    # buffers and copies
+    # ------------------------------------------------------------------
+    def _admit(self, node: int, message_id: int, time: float):
+        """Store a copy at *node*: ``(admitted, evicted entries)``."""
+        size = self._size_of[message_id]
+        if self._fastbuf:
+            used = self._buf_used[node] + size
+            self._buf_used[node] = used
+            if used > self._buf_peak[node]:
+                self._buf_peak[node] = used
+            return True, None
+        sequence = self._admission_sequence
+        self._admission_sequence += 1
+        return self._buffers[node].admit(BufferEntry(
+            message_id=message_id, size=size, receive_time=time,
+            sequence=sequence))
 
     def _receive(self, message: Message, peer: int, time: float,
                  hops: int, carrier: int) -> bool:
@@ -947,65 +1109,74 @@ class DesSimulator:
         Delivery at the destination always succeeds; a relaying copy is
         stored only if the buffer admits it.
         """
-        state = self._state
         stats = self._stats
         message_id = message.id
-        is_destination = peer == state.dest_index[message_id]
-        entry = BufferEntry(message_id=message_id,
-                            size=self._constraints.effective_size(message),
-                            receive_time=time, sequence=state.next_admission())
-        admitted, evicted = state.buffers[peer].admit(entry)
+        is_destination = peer == self._dest_of[message_id]
+        tracer = self._run_tracer
+        admitted, evicted = self._admit(peer, message_id, time)
         if not admitted and not is_destination:
             stats.buffer_rejections += 1
-            if self._tracer is not None:
-                self._tracer.emit("drop", time, msg=message_id,
-                                  node=state.node_of[peer], reason="rejected")
+            if tracer is not None:
+                tracer.emit("drop", time, msg=message_id,
+                            node=self._node_of[peer], reason="rejected")
             return False
-        state.ever_held[message_id] |= 1 << peer
+        bit = self._bit_of[message_id]
+        self._ever_bits[peer] |= bit
         stats.copies_sent += 1
-        if is_destination and message_id not in state.delivered:
-            state.delivered[message_id] = (time, hops)
+        if is_destination and message_id not in self._delivered:
+            self._delivered[message_id] = (time, hops)
+            if self._stop_on_delivery:
+                self._stop_bits |= bit
             self._protocol.on_delivered(message, time)
-            if self._tracer is not None:
-                self._tracer.emit("deliver", time, msg=message_id,
-                                  node=state.node_of[peer], hops=hops,
-                                  delay=time - message.creation_time,
-                                  src=state.node_of[carrier])
+            if tracer is not None:
+                tracer.emit("deliver", time, msg=message_id,
+                            node=self._node_of[peer], hops=hops,
+                            delay=time - message.creation_time,
+                            src=self._node_of[carrier])
         if admitted:
-            holders = state.holdings.get(message_id)
+            holders = self._holdings.get(message_id)
             if holders is not None:
                 holders[peer] = (time, hops)
             else:  # defensive: holdings exist whenever copies circulate
-                state.holdings[message_id] = {peer: (time, hops)}
-            state.carried[peer].add(message_id)
-            self._drop_evicted(peer, evicted, time)
+                self._holdings[message_id] = {peer: (time, hops)}
+            self._carried[peer].add(message_id)
+            self._carried_bits[peer] |= bit
+            if evicted:
+                self._drop_evicted(peer, evicted, time)
         return True
 
-    # ------------------------------------------------------------------
+    def _forget(self, node: int, message_id: int, bit: int) -> None:
+        """Free *node*'s stored copy (its holdings entry is the caller's)."""
+        self._carried[node].discard(message_id)
+        self._carried_bits[node] &= ~bit
+        if self._fastbuf:
+            self._buf_used[node] -= self._size_of[message_id]
+        else:
+            self._buffers[node].remove(message_id)
+
     def _drop_copy(self, node: int, message_id: int) -> None:
-        """Remove one node's copy (hand-off semantics or eviction)."""
-        state = self._state
-        holders = state.holdings.get(message_id)
-        if holders is not None:
-            holders.pop(node, None)
-        state.carried[node].discard(message_id)
-        state.buffers[node].remove(message_id)
+        """Remove one node's copy, if it still holds one (hand-off or a
+        crash)."""
+        bit = self._bit_of[message_id]
+        if not self._carried_bits[node] & bit:
+            return
+        self._holdings[message_id].pop(node, None)
+        self._forget(node, message_id, bit)
 
     def _drop_evicted(self, node: int, evicted: List[BufferEntry],
                       time: float) -> None:
         """Unregister copies the node's buffer just evicted."""
-        if not evicted:
-            return
-        state = self._state
-        tracer = self._tracer
+        tracer = self._run_tracer
         for entry in evicted:
-            holders = state.holdings.get(entry.message_id)
+            message_id = entry.message_id
+            holders = self._holdings.get(message_id)
             if holders is not None:
                 holders.pop(node, None)
-            state.carried[node].discard(entry.message_id)
+            self._carried[node].discard(message_id)
+            self._carried_bits[node] &= ~self._bit_of[message_id]
             if tracer is not None:
-                tracer.emit("drop", time, msg=entry.message_id,
-                            node=state.node_of[node], reason="evicted")
+                tracer.emit("drop", time, msg=message_id,
+                            node=self._node_of[node], reason="evicted")
         self._stats.buffer_evictions += len(evicted)
 
 

@@ -1,10 +1,9 @@
-"""Event encoding and heap-based event queue for the DES engine.
+"""Event encoding and the event timeline of the DES engine.
 
-An event is the tuple ``(time, kind, sequence, payload)``.  The kind encodes
-the priority of simultaneous events; the relative order of contact starts,
-contact ends and message creations is exactly the one the idealized
-trace-driven simulator uses (starts < ends < creations), which is one of the
-ingredients of the engine-equivalence guarantee:
+An event is ordered by ``(time, kind, sequence)``.  The kind encodes the
+priority of simultaneous events; the relative order of contact starts,
+contact ends and message creations is exactly the one the paper's
+idealized model uses (starts < ends < creations):
 
 ``EXPIRE``
     TTL expiries fire before anything else at the same instant — a message
@@ -33,13 +32,22 @@ ingredients of the engine-equivalence guarantee:
 
 The integer values changed when the churn/retransmission kinds were added,
 but the *relative* order of the original five kinds is unchanged — which is
-what the engine-equivalence guarantee depends on.
+what the frozen golden delivery streams depend on.
+
+Every event except ``TRANSFER_DONE`` and ``RETRANSMIT`` is known before
+the run starts: contact starts and ends, creations, expiries and the
+seeded churn schedule.  :class:`Timeline` sorts those *static* events
+once, as flat columns, and keeps only the *dynamic* ones on a small heap.
+It is the cursor of PONS's ``CommonContactPlan.next_event/at`` with a
+heap beside it.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, List, Tuple
+from typing import Any, Iterator, List, Tuple
+
+import numpy as np
 
 __all__ = [
     "EXPIRE",
@@ -50,8 +58,7 @@ __all__ = [
     "RETRANSMIT",
     "CONTACT_END",
     "CREATE",
-    "Event",
-    "EventQueue",
+    "Timeline",
 ]
 
 EXPIRE = 0
@@ -63,43 +70,67 @@ RETRANSMIT = 5
 CONTACT_END = 6
 CREATE = 7
 
-Event = Tuple[float, int, int, Any]
+#: ``(time, kind, a, b, c)`` as the timeline yields it
+Event = Tuple[float, int, Any, Any, Any]
 
 
-class EventQueue:
-    """A min-heap of events ordered by ``(time, kind, sequence)``.
+class Timeline:
+    """Presorted static events merged with a heap of dynamic ones.
 
-    The sequence number breaks remaining ties deterministically in push
-    order, so two runs that push the same events always pop them in the
-    same order.
+    The static events are given as parallel numpy columns in *sequence*
+    order: ``times``, ``kinds`` and three operand columns ``a``, ``b``,
+    ``c`` whose meaning depends on the kind.  Event *i*'s sequence number
+    is *i*; one stable lexsort by ``(time, kind)`` puts them in replay
+    order.  :meth:`push` numbers dynamic events on from the last static
+    one, so iteration yields exactly the order a single ``heapq`` of
+    ``(time, kind, sequence)`` would pop: at equal time and kind a static
+    event always comes first, because its sequence number is smaller.
+
+    Iterating yields ``(time, kind, a, b, c)`` and may be interleaved with
+    :meth:`push`, including pushes earlier than the last event yielded.
+    A run that never pushes may walk :attr:`columns` directly instead.
     """
 
-    __slots__ = ("_heap", "_sequence")
+    __slots__ = ("columns", "_heap", "_sequence", "_position")
 
-    def __init__(self) -> None:
-        self._heap: List[Event] = []
-        self._sequence = 0
+    def __init__(self, times: np.ndarray, kinds: np.ndarray, a: np.ndarray,
+                 b: np.ndarray, c: np.ndarray) -> None:
+        order = np.lexsort((kinds, times))  # stable: sequence breaks ties
+        #: the static events in replay order, as plain Python lists
+        self.columns: Tuple[List, ...] = tuple(
+            column[order].tolist() for column in (times, kinds, a, b, c))
+        self._heap: List[tuple] = []
+        self._sequence = len(order)
+        self._position = 0
 
     def __len__(self) -> int:
-        return len(self._heap)
+        """Events not yet yielded, static and dynamic."""
+        return len(self.columns[0]) - self._position + len(self._heap)
 
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-    def next_sequence(self) -> int:
-        """Reserve and return the next sequence number."""
-        sequence = self._sequence
+    def push(self, time: float, kind: int, a: Any, b: Any, c: Any) -> None:
+        """Schedule a dynamic event."""
+        heapq.heappush(self._heap, (time, kind, self._sequence, a, b, c))
         self._sequence += 1
-        return sequence
 
-    def push(self, time: float, kind: int, payload: Any) -> None:
-        """Schedule *payload* at *time* with the given *kind* priority."""
-        heapq.heappush(self._heap, (time, kind, self.next_sequence(), payload))
-
-    def extend_sorted(self, events: List[Event]) -> None:
-        """Bulk-load events (heapified in place; cheaper than n pushes)."""
-        self._heap.extend(events)
-        heapq.heapify(self._heap)
-
-    def pop(self) -> Event:
-        return heapq.heappop(self._heap)
+    def __iter__(self) -> Iterator[Event]:
+        times, kinds, ev_a, ev_b, ev_c = self.columns
+        heap = self._heap
+        heappop = heapq.heappop
+        total = len(times)
+        position = self._position
+        while position < total:
+            time = times[position]
+            kind = kinds[position]
+            if heap:
+                top = heap[0]
+                if top[0] < time or (top[0] == time and top[1] < kind):
+                    heappop(heap)
+                    yield top[0], top[1], top[3], top[4], top[5]
+                    continue
+            position += 1
+            self._position = position
+            yield time, kind, ev_a[position - 1], ev_b[position - 1], \
+                ev_c[position - 1]
+        while heap:
+            top = heappop(heap)
+            yield top[0], top[1], top[3], top[4], top[5]

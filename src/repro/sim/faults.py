@@ -83,15 +83,16 @@ class ChannelSpec(ConstraintSpec):
     retx_limit: Optional[int] = None
 
     def __post_init__(self) -> None:
+        # every check is written so that NaN fails it
         if not 0.0 <= self.loss < 1.0:
             raise ValueError("loss must be a probability in [0, 1)")
-        if self.delay < 0:
+        if not self.delay >= 0:
             raise ValueError("delay must be >= 0")
-        if self.jitter < 0:
+        if not self.jitter >= 0:
             raise ValueError("jitter must be >= 0")
-        if self.retx_base <= 0:
+        if not self.retx_base > 0:
             raise ValueError("retx_base must be positive")
-        if self.retx_cap < self.retx_base:
+        if not self.retx_cap >= self.retx_base:
             raise ValueError("retx_cap must be >= retx_base")
         if self.retx_limit is not None and self.retx_limit < 0:
             raise ValueError("retx_limit must be >= 0 or None")
@@ -132,9 +133,10 @@ class ChurnSpec(ConstraintSpec):
     max_crashes: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.crash_rate < 0:
+        # written so that NaN fails too
+        if not self.crash_rate >= 0:
             raise ValueError("crash_rate must be >= 0")
-        if self.mean_downtime <= 0:
+        if not self.mean_downtime > 0:
             raise ValueError("mean_downtime must be positive")
         if self.max_crashes is not None and self.max_crashes < 0:
             raise ValueError("max_crashes must be >= 0 or None")

@@ -1,723 +1,20 @@
-"""The array-native vector DES kernel (``engine="vector"``).
+"""The name the array-native vector kernel was published under.
 
-:class:`VectorSimulator` replays the same discrete-event semantics as
-:class:`repro.sim.engine.DesSimulator` — same event encoding, same guard
-order, same zero-time relay cascade, same buffer/TTL bookkeeping — but
-restructures the hot loop around flat arrays and bitmasks so that
-city-scale traces (10^4–10^5 nodes, 10^5+ contacts) run an order of
-magnitude faster:
-
-* **sorted array timeline** — without bandwidth/channel/churn the event
-  set is fully known up front (contact starts/ends, creations, expiries),
-  so the heap disappears: the timeline is built as flat numpy arrays of
-  ``(time, kind, sequence)``, lexsorted once, and replayed as a plain
-  list walk.  The encoding (kinds, sequence assignment) is byte-identical
-  to the DES engine's initial event load, so ties resolve identically.
-* **per-node candidate bitmasks** — messages are interned to dense
-  indices (the :mod:`repro.core.fastpath` idiom) and each node tracks the
-  set of live copies it carries and the set of messages it ever held as
-  one ``int`` bitmask each.  A contact's exchange loop is screened with
-  ``carried[a] & ~ever_held[b] & ~stopped``: when the mask is zero — the
-  overwhelmingly common case on a saturated large trace — the contact
-  moves nothing and costs three integer ops instead of a Python loop over
-  every carried message.  The screen only removes offers the DES engine's
-  own pre-decision guards would reject, so the forwarding-decision
-  counters still match exactly.
-* **batched protocol fast path** — protocols that mix in
-  :class:`repro.routing.vector.VectorProtocol` judge the surviving
-  candidates of a contact as one ``vector_approvals`` batch, and their
-  ``vector_fastpath`` flag lets the engine skip contact-history recording
-  and the per-contact lifecycle hooks (both no-ops for them).  Every
-  other protocol transparently falls back to the per-message
-  ``should_forward`` lifecycle API and still runs unchanged.
-* **buffered probes** — a supplied tracer is wrapped in
-  :class:`repro.obs.BufferedTracer`, so ``obs`` tracing keeps working
-  (same events, same order, same file bytes) without paying per-event
-  sink overhead inside the loop.
-
-Equivalence guarantee
----------------------
-For every configuration the kernel handles natively — unconstrained,
-finite buffers (all three drop policies), TTL, ``message_size`` overrides,
-both copy semantics, with or without ``stop_on_delivery`` — a vector run
-is delivery-stream-equivalent to the DES engine: same delivered set, same
-first-delivery times, same hop counts, same copy counts, and the same
-:class:`~repro.sim.engine.ResourceStats` counters.
-``tests/test_vector_equivalence.py`` pins this on all four paper dataset
-stand-ins.
-
-Configurations whose event set cannot be presorted — ``bandwidth``
-(transfer-completion events), an active ``channel`` (loss/retransmission)
-or active ``churn`` (crash/reboot) — are delegated wholesale to
-:class:`~repro.sim.engine.DesSimulator`, so ``engine="vector"`` is valid
-everywhere ``des`` is and trivially exact there (telemetry collected on a
-delegated run reports the engine that actually executed).
+The kernel's presorted timeline, per-node bitmask offer screen, batched
+``vector_approvals`` and hot loop now live in
+:class:`repro.sim.engine.DesSimulator`, the one engine.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from .engine import DesSimulator
 
-import numpy as np
-
-from ..contacts import ContactTrace
-from ..core.fastpath import NodeInterner
-from ..forwarding.algorithms import ForwardingAlgorithm
-from ..forwarding.history import OnlineContactHistory
-from ..forwarding.messages import Message
-from ..forwarding.results import DeliveryOutcome
-from ..routing.base import RoutingProtocol
-from ..routing.compat import ensure_protocol
-from .buffers import BufferEntry, NodeBuffer
-from .engine import (
-    _KIND_NAMES,
-    UNCONSTRAINED,
-    ConstrainedSimulationResult,
-    DesSimulator,
-    ResourceConstraints,
-    ResourceStats,
-    validate_messages,
-)
-from .events import CONTACT_END, CONTACT_START, CREATE, EXPIRE
-
-__all__ = ["VectorSimulator", "simulate_vector"]
+__all__ = ["VectorSimulator"]
 
 
-class VectorSimulator:
-    """Array-native replay of a trace, interchangeable with ``DesSimulator``.
+class VectorSimulator(DesSimulator):
+    """:class:`~repro.sim.engine.DesSimulator` under its former kernel name.
 
-    The constructor signature matches :class:`~repro.sim.DesSimulator`
-    exactly; see the module docstring for which configurations run on the
-    native array path and which delegate.
+    Kept as a distinct class so code that wraps the kernel's entry points
+    (the end-to-end benchmark's per-layer spans) keeps its own hook.
     """
-
-    def __init__(
-        self,
-        trace: ContactTrace,
-        algorithm: Union[ForwardingAlgorithm, RoutingProtocol],
-        constraints: ResourceConstraints = UNCONSTRAINED,
-        copy_semantics: str = "copy",
-        stop_on_delivery: bool = True,
-        seed: Optional[int] = None,
-        tracer: Optional[object] = None,
-        telemetry: Optional[object] = None,
-    ) -> None:
-        if copy_semantics not in ("copy", "handoff"):
-            raise ValueError("copy_semantics must be 'copy' or 'handoff'")
-        self._trace = trace
-        self._protocol = ensure_protocol(algorithm)
-        self._constraints = constraints
-        self._copy = copy_semantics == "copy"
-        self._stop_on_delivery = stop_on_delivery
-        self._seed = seed
-        self._tracer = tracer
-        self._telemetry = telemetry
-        self._copy_semantics = copy_semantics
-        # event kinds the native path cannot presort: bandwidth schedules
-        # TRANSFER_DONE dynamically, faults schedule RETRANSMIT and churn
-        self._delegate = (constraints.bandwidth is not None
-                          or constraints.active_channel is not None
-                          or constraints.active_churn is not None)
-        # run-scoped state, rebound by run()
-        self._history = OnlineContactHistory()
-        self._stats = ResourceStats()
-
-    @property
-    def constraints(self) -> ResourceConstraints:
-        return self._constraints
-
-    # ------------------------------------------------------------------
-    def run(self, messages: Sequence[Message]) -> ConstrainedSimulationResult:
-        """Simulate the delivery of *messages* under the constraints."""
-        if self._delegate:
-            return DesSimulator(
-                self._trace, self._protocol, constraints=self._constraints,
-                copy_semantics=self._copy_semantics,
-                stop_on_delivery=self._stop_on_delivery, seed=self._seed,
-                tracer=self._tracer, telemetry=self._telemetry,
-            ).run(messages)
-        validate_messages(self._trace, messages)
-        protocol = self._protocol
-        protocol.prepare(self._trace)
-        self._fastpath = bool(getattr(protocol, "vector_fastpath", False))
-        self._approvals_fn = (getattr(protocol, "vector_approvals", None)
-                              if self._fastpath else None)
-
-        interner = NodeInterner(self._trace.nodes)
-        index_of = interner.index_of
-        num_nodes = len(interner)
-        self._node_of = interner.nodes
-        self._index_of = index_of
-        self._history = OnlineContactHistory()
-        self._stats = stats = ResourceStats()
-
-        # message interning: dense index -> single bit, fastpath-style
-        self._messages_by_id = {m.id: m for m in messages}
-        self._bit_of = {m.id: 1 << i for i, m in enumerate(messages)}
-        self._size_of = {
-            m.id: self._constraints.effective_size(m) for m in messages}
-        self._dest_of = {m.id: index_of(m.destination) for m in messages}
-
-        # contact/holding containers keep the exact types (and therefore
-        # mutation-order-dependent iteration order) of the DES engine
-        self._active_counts: Dict[int, int] = {}
-        self._active_peers: List[set] = [set() for _ in range(num_nodes)]
-        self._carried: List[set] = [set() for _ in range(num_nodes)]
-        self._holdings: Dict[int, Dict[int, tuple]] = {}
-        self._delivered: Dict[int, tuple] = {}
-        self._expired: set = set()
-        # infinite buffers admit everything and never evict, so the only
-        # observable buffer state is per-node occupancy and its peak: two
-        # float lists updated with the same +=/-=/max sequence NodeBuffer
-        # would apply, skipping the BufferEntry allocations entirely
-        self._fastbuf = self._constraints.buffer_capacity is None
-        if self._fastbuf:
-            self._buffers = []
-            self._buf_used = [0.0] * num_nodes
-            self._buf_peak = [0.0] * num_nodes
-        else:
-            self._buffers = [
-                NodeBuffer(capacity=self._constraints.buffer_capacity,
-                           policy=self._constraints.drop_policy)
-                for _ in range(num_nodes)
-            ]
-        self._admission_sequence = 0
-        # the flat fast-state: per-node bitmasks over message indices
-        self._carried_bits = [0] * num_nodes
-        self._ever_bits = [0] * num_nodes
-        self._stop_bits = 0   # delivered-and-stopped or expired messages
-        self._launched_bits = 0
-
-        tracer = self._tracer
-        buffered = None
-        if tracer is not None:
-            from ..obs.tracing import BufferedTracer
-
-            buffered = BufferedTracer(tracer)
-            self._run_tracer = buffered
-        else:
-            self._run_tracer = None
-
-        self._message_list = message_list = list(messages)
-        timeline = self._build_timeline(messages)
-
-        telemetry = self._telemetry
-        if telemetry is not None:
-            telemetry.begin(engine="vector", algorithm=protocol.name)
-        if (self._fastpath and self._run_tracer is None
-                and telemetry is None):
-            self._hot_loop(timeline, message_list)
-        else:
-            times, kinds, ev_a, ev_b, ev_pair = timeline
-            on_contact_start = self._on_contact_start
-            on_contact_end = self._on_contact_end
-            on_create = self._on_create
-            on_expire = self._on_expire
-            remaining = len(times)
-            for time, kind, a, b, pair in zip(times, kinds, ev_a, ev_b,
-                                              ev_pair):
-                if kind == CONTACT_START:
-                    on_contact_start(time, a, b, pair)
-                elif kind == CONTACT_END:
-                    on_contact_end(time, a, b, pair)
-                elif kind == CREATE:
-                    on_create(time, message_list[a])
-                else:  # EXPIRE
-                    on_expire(time, message_list[a])
-                if telemetry is not None:
-                    remaining -= 1
-                    if telemetry.event(_KIND_NAMES[kind], remaining):
-                        telemetry.sample_buffers(
-                            time,
-                            sum(self._buf_used) if self._fastbuf
-                            else sum(buffer.used for buffer in self._buffers))
-        if telemetry is not None:
-            telemetry.finish()
-        if buffered is not None:
-            # drain the probe buffer into the caller's tracer; closing the
-            # caller's tracer remains the caller's responsibility
-            buffered.flush()
-
-        outcomes = []
-        delivered = self._delivered
-        for message in messages:
-            if message.id in delivered:
-                delivery_time, hops = delivered[message.id]
-                outcomes.append(DeliveryOutcome(
-                    message=message, delivered=True,
-                    delivery_time=delivery_time, hop_count=hops))
-            else:
-                outcomes.append(DeliveryOutcome(
-                    message=message, delivered=False,
-                    delivery_time=None, hop_count=None))
-        if self._fastbuf:
-            stats.peak_buffer_occupancy = max(self._buf_peak, default=0.0)
-        else:
-            stats.peak_buffer_occupancy = max(
-                (buffer.peak_used for buffer in self._buffers), default=0.0)
-        return ConstrainedSimulationResult(
-            algorithm=protocol.name, trace_name=self._trace.name,
-            outcomes=outcomes, copies_sent=stats.copies_sent,
-            constraints=self._constraints, stats=stats)
-
-    # ------------------------------------------------------------------
-    # timeline construction
-    # ------------------------------------------------------------------
-    def _build_timeline(self, messages: Sequence[Message]):
-        """The full event set as parallel flat arrays, sorted once.
-
-        Events are numbered in the exact order the DES engine pushes its
-        initial load (per contact: start then end; then creations; then
-        expiries) and sorted by ``(time, kind, sequence)`` — the same key
-        the heap orders by — via one numpy lexsort, so the replay order is
-        identical to the DES engine's pop order.
-
-        Returns five parallel lists *already permuted into replay order*:
-        times, kinds, and three ``int`` operand columns (interned endpoint
-        ``a``, endpoint ``b``, packed canonical pair key — or the message
-        index, for creation/expiry events).  The dispatch loop walks them
-        strictly sequentially, so the per-event state reads prefetch
-        instead of chasing a contact object per event.
-        """
-        starts, ends, a_labels, b_labels = self._trace.as_arrays()
-        num_contacts = len(starts)
-        num_nodes = len(self._node_of)
-        node_array = np.asarray(self._node_of)
-        if (num_contacts and node_array.dtype.kind in "iuf"
-                and a_labels.dtype.kind in "iuf"):
-            # numeric labels: intern both endpoint columns in two
-            # vectorized binary searches over the sorted node table
-            a_index = np.searchsorted(node_array, a_labels)
-            b_index = np.searchsorted(node_array, b_labels)
-        else:
-            index_of = self._index_of
-            a_index = np.fromiter(
-                (index_of(label) for label in a_labels.tolist()),
-                dtype=np.int64, count=num_contacts)
-            b_index = np.fromiter(
-                (index_of(label) for label in b_labels.tolist()),
-                dtype=np.int64, count=num_contacts)
-        # Contact stores its endpoints canonically ordered, so the same
-        # unordered pair always packs to the same key
-        pair_index = a_index * num_nodes + b_index
-
-        expiring = [
-            (i, expiry)
-            for i, expiry in ((i, self._constraints.effective_expiry(m))
-                              for i, m in enumerate(messages))
-            if expiry is not None
-        ]
-        split = 2 * num_contacts
-        total = split + len(messages) + len(expiring)
-        time_array = np.empty(total, dtype=np.float64)
-        kind_array = np.empty(total, dtype=np.int64)
-        a_event = np.empty(total, dtype=np.int64)
-        b_event = np.empty(total, dtype=np.int64)
-        pair_event = np.empty(total, dtype=np.int64)
-        if num_contacts:
-            time_array[0:split:2] = starts
-            time_array[1:split:2] = np.maximum(ends, starts)
-            kind_array[0:split:2] = CONTACT_START
-            kind_array[1:split:2] = CONTACT_END
-            a_event[0:split:2] = a_index
-            a_event[1:split:2] = a_index
-            b_event[0:split:2] = b_index
-            b_event[1:split:2] = b_index
-            pair_event[0:split:2] = pair_index
-            pair_event[1:split:2] = pair_index
-        for offset, message in enumerate(messages):
-            position = split + offset
-            time_array[position] = message.creation_time
-            kind_array[position] = CREATE
-            a_event[position] = offset      # message index rides in column a
-            b_event[position] = 0
-            pair_event[position] = 0
-        base = split + len(messages)
-        for offset, (message_index, expiry) in enumerate(expiring):
-            position = base + offset
-            time_array[position] = expiry
-            kind_array[position] = EXPIRE
-            a_event[position] = message_index
-            b_event[position] = 0
-            pair_event[position] = 0
-        # least-significant key first; the arange tie-breaker is the
-        # sequence number (construction order), making the sort total
-        order = np.lexsort((np.arange(total), kind_array, time_array))
-        return (time_array[order].tolist(),   # plain floats/ints, not np
-                kind_array[order].tolist(),
-                a_event[order].tolist(),
-                b_event[order].tolist(),
-                pair_event[order].tolist())
-
-    # ------------------------------------------------------------------
-    # event handlers (mirroring repro.sim.engine.DesSimulator)
-    # ------------------------------------------------------------------
-    def _hot_loop(self, timeline, message_list) -> None:
-        """The dispatch loop for the common case: fast-path protocol, no
-        tracer, no telemetry.
-
-        Contact bookkeeping is inlined (no per-event method call, state
-        containers bound to locals) so the millions of screened-out
-        contact events of a saturated city-scale run cost a handful of
-        interpreter ops each.  Semantically identical to the general loop
-        plus :meth:`_on_contact_start`/:meth:`_on_contact_end` with the
-        fast-path flag set — which is exactly the precondition for
-        entering it.
-        """
-        times, kinds, ev_a, ev_b, ev_pair = timeline
-        counts = self._active_counts
-        counts_get = counts.get
-        counts_pop = counts.pop
-        active_peers = self._active_peers
-        carried_bits = self._carried_bits
-        ever_bits = self._ever_bits
-        offer = self._offer
-        on_create = self._on_create
-        on_expire = self._on_expire
-        for time, kind, a, b, pair in zip(times, kinds, ev_a, ev_b, ev_pair):
-            if kind == CONTACT_START:
-                counts[pair] = counts_get(pair, 0) + 1
-                active_peers[a].add(b)
-                active_peers[b].add(a)
-                # the second screen rereads the stop mask because the
-                # first direction may deliver
-                cand = carried_bits[a] & ~(ever_bits[b] | self._stop_bits)
-                if cand:
-                    offer(a, b, time, cand)
-                cand = carried_bits[b] & ~(ever_bits[a] | self._stop_bits)
-                if cand:
-                    offer(b, a, time, cand)
-            elif kind == CONTACT_END:
-                remaining = counts_get(pair, 0) - 1
-                if remaining <= 0:
-                    counts_pop(pair, None)
-                    active_peers[a].discard(b)
-                    active_peers[b].discard(a)
-                else:
-                    counts[pair] = remaining
-            elif kind == CREATE:
-                on_create(time, message_list[a])
-            else:  # EXPIRE
-                on_expire(time, message_list[a])
-
-    def _on_contact_start(self, time, a: int, b: int, pair: int) -> None:
-        if self._run_tracer is not None:
-            node_of = self._node_of
-            self._run_tracer.emit("contact_start", time,
-                                  a=node_of[a], b=node_of[b])
-        if not self._fastpath:
-            node_of = self._node_of
-            self._history.record(node_of[a], node_of[b], time)
-            self._protocol.on_contact_start(node_of[a], node_of[b], time,
-                                            self._history)
-        counts = self._active_counts
-        counts[pair] = counts.get(pair, 0) + 1
-        self._active_peers[a].add(b)
-        self._active_peers[b].add(a)
-        # both endpoints offer each other their carried messages; the
-        # second screen rereads the stop mask because the first direction
-        # may deliver (_offer documents why skipping is counter-neutral)
-        carried_bits = self._carried_bits
-        ever_bits = self._ever_bits
-        cand = carried_bits[a] & ~(ever_bits[b] | self._stop_bits)
-        if cand:
-            self._offer(a, b, time, cand)
-        cand = carried_bits[b] & ~(ever_bits[a] | self._stop_bits)
-        if cand:
-            self._offer(b, a, time, cand)
-
-    def _on_contact_end(self, time, a: int, b: int, pair: int) -> None:
-        counts = self._active_counts
-        remaining = counts.get(pair, 0) - 1
-        if remaining <= 0:
-            counts.pop(pair, None)
-            self._active_peers[a].discard(b)
-            self._active_peers[b].discard(a)
-        else:
-            counts[pair] = remaining
-        if self._run_tracer is not None:
-            node_of = self._node_of
-            self._run_tracer.emit("contact_end", time,
-                                  a=node_of[a], b=node_of[b])
-        if not self._fastpath:
-            node_of = self._node_of
-            self._protocol.on_contact_end(node_of[a], node_of[b], time,
-                                          self._history)
-
-    def _on_create(self, time, message: Message) -> None:
-        tracer = self._run_tracer
-        if tracer is not None:
-            tracer.emit("create", time, msg=message.id, src=message.source,
-                        dst=message.destination)
-        self._protocol.on_message_created(message, time)
-        source = self._index_of(message.source)
-        if self._fastbuf:
-            used = self._buf_used[source] + self._size_of[message.id]
-            self._buf_used[source] = used
-            if used > self._buf_peak[source]:
-                self._buf_peak[source] = used
-        else:
-            entry = BufferEntry(message_id=message.id,
-                                size=self._size_of[message.id],
-                                receive_time=time,
-                                sequence=self._next_admission())
-            admitted, evicted = self._buffers[source].admit(entry)
-            if not admitted:
-                self._stats.source_rejections += 1
-                if tracer is not None:
-                    tracer.emit("drop", time, msg=message.id,
-                                node=message.source, reason="source_rejected")
-                return
-        bit = self._bit_of[message.id]
-        self._holdings[message.id] = {source: (time, 0)}
-        # carried-set mutations must keep the DES engine's exact order
-        # (add before evicting victims): set iteration order downstream
-        # depends on the mutation history, and _offer walks that order
-        self._carried[source].add(message.id)
-        self._carried_bits[source] |= bit
-        self._ever_bits[source] |= bit
-        self._launched_bits |= bit
-        if not self._fastbuf:
-            self._drop_evicted(source, evicted, time)
-        self._cascade(message, source, time)
-
-    def _on_expire(self, time, message: Message) -> None:
-        message_id = message.id
-        bit = self._bit_of[message_id]
-        self._expired.add(message_id)
-        self._stop_bits |= bit
-        holders = self._holdings.pop(message_id, None)
-        if self._run_tracer is not None:
-            self._run_tracer.emit("expire", time, msg=message_id,
-                                  copies=len(holders) if holders else 0)
-        if holders:
-            not_bit = ~bit
-            size = self._size_of[message_id]
-            for node in holders:
-                self._carried[node].discard(message_id)
-                self._carried_bits[node] &= not_bit
-                if self._fastbuf:
-                    self._buf_used[node] -= size
-                else:
-                    self._buffers[node].remove(message_id)
-            self._stats.expired_copies += len(holders)
-        if message_id not in self._delivered and self._launched_bits & bit:
-            self._stats.expired_messages += 1
-
-    # ------------------------------------------------------------------
-    # the exchange path
-    # ------------------------------------------------------------------
-    def _offer(self, carrier: int, peer: int, time, cand: int) -> None:
-        """One direction of a contact's exchange, bitmask-screened.
-
-        *cand* is ``carried[carrier] & ~(ever_held[peer] | stopped)``,
-        computed (and found non-zero) by the caller.  The screen removes
-        exactly the offers the DES engine's own pre-decision guards
-        reject (no live copy at the carrier, peer already ever held the
-        message, message stopped/expired), so skipping them changes
-        neither the delivery stream nor the decision counters.  The
-        candidate mask is a snapshot taken once per direction; batch
-        soundness of that snapshot is argued in
-        :mod:`repro.routing.vector`.
-        """
-        bit_of = self._bit_of
-        carried = [mid for mid in list(self._carried[carrier])
-                   if bit_of[mid] & cand]
-        approvals_fn = self._approvals_fn
-        if approvals_fn is None:
-            by_id = self._messages_by_id
-            for message_id in carried:
-                self._attempt(by_id[message_id], carrier, peer, time)
-            return
-        by_id = self._messages_by_id
-        batch = [by_id[mid] for mid in carried]
-        node_of = self._node_of
-        verdicts = approvals_fn(node_of[carrier], node_of[peer], batch, time)
-        for message, approved in zip(batch, verdicts):
-            self._attempt(message, carrier, peer, time, approved=approved)
-
-    def _attempt(self, message: Message, carrier: int, peer: int, time,
-                 cascade: bool = True, approved: Optional[bool] = None) -> bool:
-        """Attempt to move *message* from *carrier* to *peer* at *time*.
-
-        Guard order mirrors :meth:`DesSimulator._attempt` (minus the
-        fault guards, which cannot fire on the native path).  *approved*
-        is the verdict of a batch that already judged the offer; without
-        one the protocol decides here.  Either way every non-destination
-        offer that passes the guards is one forwarding decision, keeping
-        ``ResourceStats`` identical to a DES run.
-        """
-        message_id = message.id
-        bit = self._bit_of[message_id]
-        if not (self._carried_bits[carrier] & bit):
-            return False
-        if self._stop_bits & bit:
-            return False
-        if self._ever_bits[peer] & bit:
-            return False
-        receive_time, hops = self._holdings[message_id][carrier]
-        if time < receive_time:
-            return False
-        hops += 1
-        node_of = self._node_of
-        if peer != self._dest_of[message_id]:
-            stats = self._stats
-            stats.forwarding_decisions += 1
-            if approved is None:
-                approved = self._protocol.should_forward(
-                    node_of[carrier], node_of[peer], message, time,
-                    self._history)
-            if not approved:
-                return False
-            stats.forwarding_approvals += 1
-        if not self._receive(message, peer, time, hops, carrier):
-            return False
-        if peer == self._dest_of[message_id]:
-            # mirror the DES engine: delivery neither triggers a cascade
-            # from the destination nor a hand-off removal
-            return True
-        self._protocol.on_forwarded(message, node_of[carrier], node_of[peer],
-                                    time)
-        if self._run_tracer is not None:
-            self._run_tracer.emit("forward", time, msg=message_id,
-                                  src=node_of[carrier], dst=node_of[peer],
-                                  hops=hops)
-        if not self._copy:
-            self._drop_copy(carrier, message_id)
-        if cascade:
-            self._cascade(message, peer, time)
-        return True
-
-    def _cascade(self, message: Message, start_node: int, time) -> None:
-        """Zero-time relay over active contacts, bit-screened per peer.
-
-        The traversal (stack order, ``list(set)`` snapshot per node) is
-        the DES engine's; the inline bit tests skip exactly the attempts
-        its guards would reject without touching any counter.
-        """
-        bit = self._bit_of[message.id]
-        ever_bits = self._ever_bits
-        active_peers = self._active_peers
-        attempt = self._attempt
-        frontier = [start_node]
-        while frontier:
-            node = frontier.pop()
-            if self._stop_bits & bit:
-                # the message was delivered mid-cascade (stop mode): every
-                # remaining attempt would be guard-rejected, count-free
-                break
-            if not (self._carried_bits[node] & bit):
-                continue  # hand-off moved the copy on; nothing to offer
-            for peer in list(active_peers[node]):
-                if ever_bits[peer] & bit:
-                    continue
-                if attempt(message, node, peer, time, cascade=False):
-                    frontier.append(peer)
-
-    # ------------------------------------------------------------------
-    # reception and bookkeeping (mirroring the DES engine)
-    # ------------------------------------------------------------------
-    def _receive(self, message: Message, peer: int, time, hops: int,
-                 carrier: int) -> bool:
-        stats = self._stats
-        message_id = message.id
-        is_destination = peer == self._dest_of[message_id]
-        tracer = self._run_tracer
-        if self._fastbuf:
-            used = self._buf_used[peer] + self._size_of[message_id]
-            self._buf_used[peer] = used
-            if used > self._buf_peak[peer]:
-                self._buf_peak[peer] = used
-            admitted, evicted = True, None
-        else:
-            entry = BufferEntry(message_id=message_id,
-                                size=self._size_of[message_id],
-                                receive_time=time,
-                                sequence=self._next_admission())
-            admitted, evicted = self._buffers[peer].admit(entry)
-            if not admitted and not is_destination:
-                stats.buffer_rejections += 1
-                if tracer is not None:
-                    tracer.emit("drop", time, msg=message_id,
-                                node=self._node_of[peer], reason="rejected")
-                return False
-        bit = self._bit_of[message_id]
-        self._ever_bits[peer] |= bit
-        stats.copies_sent += 1
-        if is_destination and message_id not in self._delivered:
-            self._delivered[message_id] = (time, hops)
-            if self._stop_on_delivery:
-                self._stop_bits |= bit
-            self._protocol.on_delivered(message, time)
-            if tracer is not None:
-                tracer.emit("deliver", time, msg=message_id,
-                            node=self._node_of[peer], hops=hops,
-                            delay=time - message.creation_time,
-                            src=self._node_of[carrier])
-        if admitted:
-            holders = self._holdings.get(message_id)
-            if holders is not None:
-                holders[peer] = (time, hops)
-            else:  # defensive: holdings exist whenever copies circulate
-                self._holdings[message_id] = {peer: (time, hops)}
-            self._carried[peer].add(message_id)
-            self._carried_bits[peer] |= bit
-            if evicted:
-                self._drop_evicted(peer, evicted, time)
-        return True
-
-    def _drop_copy(self, node: int, message_id: int) -> None:
-        holders = self._holdings.get(message_id)
-        if holders is not None:
-            holders.pop(node, None)
-        self._carried[node].discard(message_id)
-        self._carried_bits[node] &= ~self._bit_of[message_id]
-        if self._fastbuf:
-            self._buf_used[node] -= self._size_of[message_id]
-        else:
-            self._buffers[node].remove(message_id)
-
-    def _drop_evicted(self, node: int, evicted: List[BufferEntry],
-                      time) -> None:
-        if not evicted:
-            return
-        tracer = self._run_tracer
-        for entry in evicted:
-            holders = self._holdings.get(entry.message_id)
-            if holders is not None:
-                holders.pop(node, None)
-            self._carried[node].discard(entry.message_id)
-            self._carried_bits[node] &= ~self._bit_of[entry.message_id]
-            if tracer is not None:
-                tracer.emit("drop", time, msg=entry.message_id,
-                            node=self._node_of[node], reason="evicted")
-        self._stats.buffer_evictions += len(evicted)
-
-    # ------------------------------------------------------------------
-    def _next_admission(self) -> int:
-        sequence = self._admission_sequence
-        self._admission_sequence += 1
-        return sequence
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"<VectorSimulator {self._protocol.name!r} "
-                f"{'delegated' if self._delegate else 'native'}>")
-
-
-def simulate_vector(
-    trace: ContactTrace,
-    algorithm: Union[ForwardingAlgorithm, RoutingProtocol],
-    messages: Sequence[Message],
-    constraints: ResourceConstraints = UNCONSTRAINED,
-    copy_semantics: str = "copy",
-    stop_on_delivery: bool = True,
-    seed: Optional[int] = None,
-    tracer: Optional[object] = None,
-    telemetry: Optional[object] = None,
-) -> ConstrainedSimulationResult:
-    """One-shot convenience wrapper around :class:`VectorSimulator`."""
-    simulator = VectorSimulator(trace, algorithm, constraints=constraints,
-                                copy_semantics=copy_semantics,
-                                stop_on_delivery=stop_on_delivery, seed=seed,
-                                tracer=tracer, telemetry=telemetry)
-    return simulator.run(messages)

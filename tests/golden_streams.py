@@ -1,9 +1,9 @@
 """Frozen golden delivery streams: the cases, the digest and the recorder.
 
-``tests/golden/delivery_streams.json`` pins what the forwarding engines
-deliver, independently of any engine: one entry per case holding the
+``tests/golden/delivery_streams.json`` pins what the forwarding engine
+delivers, independently of its code: one entry per case holding the
 SHA-256 of the canonical ``(id, delivered, delivery_time, hop_count)``
-stream, ``copies_sent`` and, for catalogue scenarios, the DES
+stream, ``copies_sent`` and, for scenario cases, the
 ``ResourceStats.as_dict()``.  Three case families:
 
 * **idealised** — the five dataset stand-ins (scale 0.2, Poisson rate
@@ -11,10 +11,10 @@ stream, ``copies_sent`` and, for catalogue scenarios, the DES
   under every registered protocol × copy/hand-off × stop on/off;
 * **catalogue** — every built-in scenario except ``rwp-city-10k`` under
   every registered protocol, run 0, with the scenario's own constraints,
-  copy semantics and seed on the DES engine;
-* **faulted** — the inputs of the catalogue scenarios, with node churn and
-  channel faults switched on the way e2ebench's paper-campaign builds them
-  (:data:`FAULTED`), under every registered protocol, stats included.
+  copy semantics and seed;
+* **faulted** — three catalogue scenarios with node churn or a lossy,
+  delaying channel switched on (:func:`faulted_inputs`), under every
+  registered protocol.
 
 ``traces`` pins the SHA-256 of the :class:`~repro.obs.JsonlTracer` file
 of one traced Epidemic run on the adversarial trace and one on the churn
@@ -25,8 +25,8 @@ say so in the change log) from the repository root with::
 
     PYTHONPATH=src python tests/golden_streams.py
 
-Recording replays ``rwp-city-1k`` on the DES engine and takes a few
-minutes.
+Recording replays ``rwp-city-1k`` under every protocol and takes a few
+minutes (Dynamic Programming alone about three).
 """
 
 from __future__ import annotations

@@ -1,11 +1,10 @@
-"""The forwarding engines against frozen golden delivery streams.
+"""The forwarding engine against frozen golden delivery streams.
 
 ``tests/golden/delivery_streams.json`` was recorded once (see
 ``tests/golden_streams.py`` for the cases and the regeneration command);
 these tests replay every case and require the same delivery stream, copy
-count and, for catalogue scenarios, resource counters.  Unlike the
-engine-versus-engine suites, the oracle here does not move when an engine
-changes.
+count and, for scenario cases, resource counters.  The oracle does not
+move when the engine changes.
 """
 
 from __future__ import annotations
@@ -14,27 +13,36 @@ import pytest
 
 import golden_streams as golden
 from repro.forwarding import ForwardingSimulator
+from repro.obs import EngineTelemetry
 from repro.routing.registry import protocol_by_name, protocol_names
-from repro.sim import DesSimulator, VectorSimulator
+from repro.sim import DesSimulator
 
-IDEALISED_ENGINES = {
-    "forwarding": ForwardingSimulator,
-    "des": DesSimulator,
-    "vector": VectorSimulator,
+#: the paths an idealised run can take through the one engine: the
+#: paper's entry point, the general dispatch loop (forced by attaching
+#: telemetry) and the hot loop fast-path protocols take without probes,
+#: the loop the vector kernel contributed
+IDEALISED_PATHS = {
+    "forwarding": lambda trace, protocol, **options: ForwardingSimulator(
+        trace, protocol, **options),
+    "des": lambda trace, protocol, **options: DesSimulator(
+        trace, protocol, telemetry=EngineTelemetry(), **options),
+    "vector": DesSimulator,
 }
 
-#: scenarios whose full replay takes minutes (Dynamic Programming and
-#: PRoPHET over 1000 nodes, in either engine, and every protocol on DES);
-#: checked through the vector kernel's fast-path protocols only
-SLOW_SCENARIOS = ("rwp-city-1k",)
+#: protocols left out of the rwp-city-1k replay, with their run time there
+#: on one core of a shared 2-vCPU x86-64 host (the other ten take 0.2-1.2 s
+#: each): Dynamic Programming's oracle precomputes earliest arrivals over
+#: all 1000 nodes, and PRoPHET ages and updates its predictability tables
+#: on every one of the 104k contacts
+SLOW_CITY_PROTOCOLS = {"Dynamic Programming": "172 s", "PRoPHET": "56 s"}
 
 
-@pytest.mark.parametrize("engine", sorted(IDEALISED_ENGINES))
+@pytest.mark.parametrize("engine", sorted(IDEALISED_PATHS))
 @pytest.mark.parametrize("trace_name", golden.IDEAL_TRACES)
 def test_idealised_engines_match_golden(trace_name, engine):
     """Every protocol × copy/hand-off × stop on/off, on one trace."""
     trace, messages = golden.ideal_inputs(trace_name)
-    simulator_class = IDEALISED_ENGINES[engine]
+    simulator_class = IDEALISED_PATHS[engine]
     for protocol in protocol_names():
         for copy_semantics, stop in golden.OPTIONS:
             result = simulator_class(
@@ -47,22 +55,19 @@ def test_idealised_engines_match_golden(trace_name, engine):
 
 @pytest.mark.parametrize("scenario_name", golden.CATALOGUE)
 def test_catalogue_matches_golden(scenario_name):
-    """DES and the vector kernel reproduce each scenario's streams and
-    resource counters under its own constraints."""
+    """Each scenario's streams and resource counters under its own
+    constraints, every protocol (see :data:`SLOW_CITY_PROTOCOLS`)."""
     scenario, trace, messages = golden.catalogue_inputs(scenario_name)
-    slow = scenario_name in SLOW_SCENARIOS
-    engines = (VectorSimulator,) if slow else (DesSimulator, VectorSimulator)
     for protocol in protocol_names():
-        if slow and not protocol_by_name(protocol).vector_fastpath:
+        if scenario_name == "rwp-city-1k" and protocol in SLOW_CITY_PROTOCOLS:
             continue
-        key = golden.catalogue_key(scenario_name, protocol)
-        for simulator_class in engines:
-            result = simulator_class(
-                trace, protocol_by_name(protocol),
-                constraints=scenario.constraints,
-                copy_semantics=scenario.copy_semantics,
-                seed=scenario.seed).run(messages)
-            golden.assert_catalogue(result, key)
+        result = DesSimulator(
+            trace, protocol_by_name(protocol),
+            constraints=scenario.constraints,
+            copy_semantics=scenario.copy_semantics,
+            seed=scenario.seed).run(messages)
+        golden.assert_catalogue(result, golden.catalogue_key(scenario_name,
+                                                             protocol))
 
 
 @pytest.mark.parametrize("case", sorted(golden.FAULTED))

@@ -115,8 +115,8 @@ class TestEngineIntegration:
 
         telemetry = EngineTelemetry(sample_every=8)
         result = self._run(ForwardingSimulator, telemetry)
-        # the idealized simulator runs on the vector kernel
-        assert telemetry.engine == "vector"
+        # the idealized simulator runs on the one engine
+        assert telemetry.engine == "des"
         assert telemetry.events > 0
         bare = self._run(ForwardingSimulator, None)
         assert bare.outcomes == result.outcomes

@@ -15,6 +15,8 @@ node's buffer and truncates its open contacts.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.contacts import Contact, ContactTrace
@@ -332,3 +334,28 @@ class TestChurnMechanics:
             seed=9).run([_message(creation_time=creation)])
         assert result.stats.source_rejections >= 1
         assert not result.outcomes[0].delivered
+
+
+# ----------------------------------------------------------------------
+# NaN is not a time or a rate
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("spec_class, name", [
+    (ResourceConstraints, "ttl"),
+    (ResourceConstraints, "bandwidth"),
+    (ResourceConstraints, "buffer_capacity"),
+    (ResourceConstraints, "message_size"),
+    (ChannelSpec, "delay"),
+    (ChannelSpec, "jitter"),
+    (ChannelSpec, "retx_base"),
+    (ChannelSpec, "retx_cap"),
+    (ChurnSpec, "crash_rate"),
+    (ChurnSpec, "mean_downtime"),
+])
+def test_nan_is_rejected(spec_class, name):
+    """A NaN would break the event timeline's total order; it is refused
+    on direct construction and from scenario JSON, where ``NaN`` parses."""
+    with pytest.raises(ValueError, match=name):
+        spec_class(**{name: float("nan")})
+    payload = json.loads('{"%s": NaN}' % name)
+    with pytest.raises(ValueError, match=name):
+        spec_class.from_dict(payload)

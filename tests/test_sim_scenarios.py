@@ -161,7 +161,7 @@ def test_cli_list_and_run(capsys, tmp_path):
     assert payload["rows"]
 
 
-def test_cli_sweep_and_bench(capsys, tmp_path):
+def test_cli_sweep(tmp_path):
     out_path = tmp_path / "sweep.json"
     assert main(["sim", "sweep", "paper-buffer-crunch",
                  "--param", "buffer_capacity", "--values", "2,8,inf",
@@ -170,11 +170,6 @@ def test_cli_sweep_and_bench(capsys, tmp_path):
     assert payload["parameter"] == "buffer_capacity"
     assert len(payload["rows"]) == 3 * len(
         get_scenario("paper-buffer-crunch").algorithms)
-    capsys.readouterr()
-
-    assert main(["bench", "--repeats", "1"]) == 0
-    captured = capsys.readouterr().out
-    assert "vector_ms" in captured
 
 
 # ----------------------------------------------------------------------

@@ -1,40 +1,39 @@
-"""Engine equivalence: the vector kernel vs the DES engine.
+"""The vector fast path against the plain DES path, in the one engine.
 
-``engine="vector"`` promises *delivery-stream equivalence*: the same
-delivery set, the same delivery times, the same hop counts, the same copy
-counts and the same resource-stat counters as :class:`repro.sim.
-DesSimulator` on identical inputs.  This suite enforces that on all four
-paper dataset stand-ins for every fast-path protocol, across the
-constraint space the kernel handles natively (buffers with all three drop
-policies, ttl, message sizes, hand-off semantics, continued flooding),
-through the lifecycle-hook fallback for protocols without a fast path,
-and through the wholesale delegation to DES for bandwidth/fault
-configurations.  Hypothesis drives the timing edge cases: batches of
-same-timestamp contacts must tie-break exactly like the DES event heap.
+:class:`repro.sim.DesSimulator` takes the speed-ups of the former vector
+kernel whenever a run allows it: the per-node bitmask offer screen, the
+batched ``vector_approvals`` of fast-path protocols (which also skip the
+contact history and the per-contact hooks), and the hot dispatch loop,
+entered when the protocol is fast-path, no tracer or telemetry is
+attached and no event can be pushed or cut short.  None of that may
+change a result.  This suite runs each fast-path protocol both ways: bare
+(the hot loop, batched decisions) and wrapped by :class:`_PlainPath`,
+which hides the fast path, with telemetry attached (the general loop,
+one ``should_forward`` per offer, every hook) — on all four paper dataset
+stand-ins, across the constraints the hot loop handles (buffers with all
+three drop policies, ttl, message sizes, hand-off, continued flooding),
+and, driven by hypothesis, on tie-heavy random workloads.  It also
+property-tests the timeline merge that orders every event.
 """
 
 from __future__ import annotations
 
-import json
+import heapq
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import golden_streams as golden
 from repro.contacts import Contact, ContactTrace
 from repro.datasets import PAPER_DATASET_KEYS, load_dataset
 from repro.forwarding import Message, PoissonMessageWorkload
-from repro.obs import JsonlTracer
+from repro.obs import EngineTelemetry
+from repro.routing import RoutingProtocol
 from repro.routing.registry import protocol_by_name, protocol_catalogue, protocol_names
-from repro.sim import (
-    DesSimulator,
-    ResourceConstraints,
-    UNCONSTRAINED,
-    VectorSimulator,
-    run_scenario,
-    simulate_vector,
-)
-from repro.sim.faults import ChannelSpec
+from repro.sim import DesSimulator, ResourceConstraints
+from repro.sim.events import Timeline
 
 _SCALE = 0.15
 _RATE = 0.01
@@ -43,6 +42,36 @@ FASTPATH_PROTOCOLS = [name for name in protocol_names()
                       if protocol_by_name(name).vector_fastpath]
 HOOK_ONLY_PROTOCOLS = [name for name in protocol_names()
                        if not protocol_by_name(name).vector_fastpath]
+
+
+class _PlainPath(RoutingProtocol):
+    """*inner* with its fast path hidden: the engine asks one
+    ``should_forward`` per offer and calls every lifecycle hook."""
+
+    def __init__(self, inner: RoutingProtocol) -> None:
+        self.inner = inner
+        self.name = inner.name
+
+    def prepare(self, trace):
+        self.inner.prepare(trace)
+
+    def on_message_created(self, message, now):
+        self.inner.on_message_created(message, now)
+
+    def on_contact_start(self, a, b, now, history):
+        self.inner.on_contact_start(a, b, now, history)
+
+    def on_contact_end(self, a, b, now, history):
+        self.inner.on_contact_end(a, b, now, history)
+
+    def on_forwarded(self, message, carrier, peer, now):
+        self.inner.on_forwarded(message, carrier, peer, now)
+
+    def on_delivered(self, message, now):
+        self.inner.on_delivered(message, now)
+
+    def should_forward(self, carrier, peer, message, now, history):
+        return self.inner.should_forward(carrier, peer, message, now, history)
 
 
 def _assert_results_equal(reference, candidate, context=""):
@@ -61,10 +90,12 @@ def _assert_results_equal(reference, candidate, context=""):
 
 
 def _run_both(trace, messages, protocol_name, **options):
-    reference = DesSimulator(trace, protocol_by_name(protocol_name),
+    """``(plain DES path, vector fast path)`` results of one run."""
+    reference = DesSimulator(trace, _PlainPath(protocol_by_name(protocol_name)),
+                             telemetry=EngineTelemetry(), **options
+                             ).run(messages)
+    candidate = DesSimulator(trace, protocol_by_name(protocol_name),
                              **options).run(messages)
-    candidate = VectorSimulator(trace, protocol_by_name(protocol_name),
-                                **options).run(messages)
     return reference, candidate
 
 
@@ -77,7 +108,8 @@ def _workload(trace, seed=11):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("dataset_key", PAPER_DATASET_KEYS)
 def test_vector_equals_des_on_paper_standins(dataset_key):
-    """Delivery streams match on every stand-in, every fast-path protocol."""
+    """Delivery streams and counters match on every stand-in, every
+    fast-path protocol."""
     trace = load_dataset(dataset_key, scale=_SCALE, contact_scale=_SCALE)
     messages = _workload(trace)
     assert messages, "workload must not be empty for the test to mean anything"
@@ -96,8 +128,8 @@ def test_vector_equals_des_on_paper_standins(dataset_key):
     ResourceConstraints(buffer_capacity=4.0, ttl=1200.0),
 ], ids=["drop-oldest", "drop-youngest", "drop-largest", "ttl", "buffer+ttl"])
 def test_vector_equals_des_under_native_constraints(constraints):
-    """Buffers (all drop policies), sizes and ttl run natively, not via
-    delegation — the streams and stat counters must still match."""
+    """Buffers (all drop policies), sizes and ttl run on the hot loop —
+    the streams and stat counters must still match the plain path."""
     trace = load_dataset("conext06-9-12", scale=_SCALE, contact_scale=_SCALE)
     messages = _workload(trace, seed=23)
     for protocol_name in ("Epidemic", "Binary Spray-and-Wait"):
@@ -121,30 +153,30 @@ def test_vector_equals_des_with_handoff_and_no_stop():
 
 
 def test_vector_falls_back_to_hooks_for_stateful_protocols():
-    """Protocols without a fast path (PRoPHET et al.) run through the
-    lifecycle-hook API inside the vector kernel — same streams as DES."""
-    trace = load_dataset("infocom06-9-12", scale=_SCALE, contact_scale=_SCALE)
-    messages = _workload(trace, seed=41)
+    """Protocols without a fast path (PRoPHET et al.) stay off the hot
+    loop even with no probe attached: they see every contact hook and
+    reproduce their golden streams."""
     assert "PRoPHET" in HOOK_ONLY_PROTOCOLS
+    trace, messages = golden.ideal_inputs("infocom06-9-12")
+
+    class Spy(_PlainPath):
+        starts = ends = 0
+
+        def on_contact_start(self, a, b, now, history):
+            Spy.starts += 1
+            super().on_contact_start(a, b, now, history)
+
+        def on_contact_end(self, a, b, now, history):
+            Spy.ends += 1
+            super().on_contact_end(a, b, now, history)
+
     for protocol_name in ("PRoPHET", "Greedy"):
-        reference, candidate = _run_both(trace, messages, protocol_name)
-        _assert_results_equal(reference, candidate, context=protocol_name)
-
-
-def test_vector_delegates_bandwidth_and_fault_runs_to_des():
-    """Bandwidth/channel constraints delegate wholesale — the vector
-    entry point must produce DES's exact results there too."""
-    trace = load_dataset("conext06-3-6", scale=_SCALE, contact_scale=_SCALE)
-    messages = _workload(trace, seed=47)
-    for constraints in (
-            ResourceConstraints(bandwidth=2.0, message_size=300.0),
-            ResourceConstraints(channel=ChannelSpec(loss=0.2, delay=1.0)),
-    ):
-        reference = DesSimulator(trace, protocol_by_name("Epidemic"),
-                                 constraints=constraints, seed=9).run(messages)
-        candidate = VectorSimulator(trace, protocol_by_name("Epidemic"),
-                                    constraints=constraints, seed=9).run(messages)
-        _assert_results_equal(reference, candidate, context=str(constraints))
+        Spy.starts = Spy.ends = 0
+        result = DesSimulator(trace, Spy(protocol_by_name(protocol_name))
+                              ).run(messages)
+        assert Spy.starts == Spy.ends == len(trace), protocol_name
+        golden.assert_ideal(result, golden.ideal_key("infocom06-9-12",
+                                                     protocol_name))
 
 
 # ----------------------------------------------------------------------
@@ -179,48 +211,67 @@ def tie_heavy_workloads(draw):
     return trace, messages
 
 
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(payload=tie_heavy_workloads())
-def test_same_timestamp_batches_tie_break_like_the_des_heap(payload):
-    """Simultaneous contact starts/ends and creations must process in the
-    DES event-heap order — deliveries, hops and copies all agree."""
-    trace, messages = payload
-    for protocol_name in ("Epidemic", "Binary Spray-and-Wait"):
-        reference, candidate = _run_both(trace, messages, protocol_name)
-        _assert_results_equal(reference, candidate, context=protocol_name)
+@st.composite
+def merge_schedules(draw):
+    """Static events in sequence order, plus the dynamic pushes made after
+    each dispatched event — coarse times, so equal times and kinds (and
+    pushes into the past) are the norm."""
+    instants = st.integers(min_value=0, max_value=6).map(float)
+    kinds = st.integers(min_value=0, max_value=7)
+    static = draw(st.lists(st.tuples(instants, kinds), max_size=30))
+    pushes = draw(st.lists(st.lists(st.tuples(instants, kinds), max_size=3),
+                           max_size=40))
+    return static, pushes
+
+
+@settings(max_examples=200, deadline=None)
+@given(schedule=merge_schedules())
+def test_same_timestamp_batches_tie_break_like_the_des_heap(schedule):
+    """The presorted static events and the dynamic heap merge into exactly
+    the order one ``heapq`` of ``(time, kind, sequence)`` pops, with the
+    dynamic sequence numbers following the static ones."""
+    static, pushes = schedule
+    columns = [[event[0] for event in static], [event[1] for event in static],
+               list(range(len(static)))]
+    timeline = Timeline(*(np.asarray(column, dtype=dtype) for column, dtype
+                          in zip(columns + [columns[2], columns[2]],
+                                 (np.float64, np.int64, np.int64, np.int64,
+                                  np.int64))))
+    heap = [(time, kind, sequence, sequence)
+            for sequence, (time, kind) in enumerate(static)]
+    heapq.heapify(heap)
+    sequence = len(static)
+    merged, expected = [], []
+    for step, event in enumerate(timeline):
+        merged.append(event[:3])
+        popped = heapq.heappop(heap)
+        expected.append((popped[0], popped[1], popped[3]))
+        for time, kind in (pushes[step] if step < len(pushes) else ()):
+            label = ("dynamic", sequence)
+            timeline.push(time, kind, label, None, None)
+            heapq.heappush(heap, (time, kind, sequence, label))
+            sequence += 1
+        assert len(timeline) == len(heap)
+    assert merged == expected
+    assert not heap
 
 
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(payload=tie_heavy_workloads())
 def test_hook_fallback_agrees_with_des_on_random_workloads(payload):
-    """The lifecycle-hook fallback path, property-tested on a protocol
-    with real inter-contact state."""
+    """The fast path and the plain hook path agree on tie-heavy random
+    workloads, for the budgeted and token-passing protocols too."""
     trace, messages = payload
-    reference, candidate = _run_both(trace, messages, "PRoPHET")
-    _assert_results_equal(reference, candidate, context="PRoPHET")
+    for protocol_name in ("Epidemic", "Binary Spray-and-Wait",
+                          "First Contact"):
+        reference, candidate = _run_both(trace, messages, protocol_name)
+        _assert_results_equal(reference, candidate, context=protocol_name)
 
 
 # ----------------------------------------------------------------------
-# tracing, catalogue, plumbing
+# catalogue, plumbing
 # ----------------------------------------------------------------------
-def test_traced_vector_run_is_byte_identical_to_des(tmp_path):
-    """The buffered tracer preserves the exact event stream: JSONL files
-    from both engines match byte for byte."""
-    trace = load_dataset("conext06-9-12", scale=_SCALE, contact_scale=_SCALE)
-    messages = _workload(trace, seed=53)
-    des_path = tmp_path / "des.jsonl"
-    vec_path = tmp_path / "vec.jsonl"
-    with JsonlTracer(des_path) as tracer:
-        DesSimulator(trace, protocol_by_name("Epidemic"),
-                     tracer=tracer).run(messages)
-    with JsonlTracer(vec_path) as tracer:
-        VectorSimulator(trace, protocol_by_name("Epidemic"),
-                        tracer=tracer).run(messages)
-    assert des_path.read_bytes() == vec_path.read_bytes()
-
-
 def test_protocol_catalogue_reports_vector_support():
     rows = protocol_catalogue()
     by_name = {row["protocol"]: row["vector"] for row in rows}
@@ -236,28 +287,10 @@ def test_experiment_spec_rejects_unknown_engine_naming_vector():
         ExperimentSpec(name="x", scenarios=("paper-ideal",), engine="warp")
 
 
-def test_run_scenario_with_vector_engine_matches_des():
-    vector_run = run_scenario("rwp-courtyard", engine="vector")
-    des_run = run_scenario("rwp-courtyard")
-    assert vector_run.table_rows() == des_run.table_rows()
-
-
-def test_simulate_vector_one_shot_wrapper():
-    trace = ContactTrace([Contact(0.0, 10.0, 0, 1), Contact(20.0, 30.0, 1, 2)],
-                         nodes=range(3), duration=60.0, name="tiny")
-    messages = [Message(id=0, source=0, destination=2, creation_time=0.0)]
-    result = simulate_vector(trace, protocol_by_name("Epidemic"), messages)
-    assert result.outcomes[0].delivered
-    assert result.outcomes[0].delivery_time == 20.0
-    assert result.outcomes[0].hop_count == 2
-
-
 # ----------------------------------------------------------------------
 # the columnar trace view the kernel builds on
 # ----------------------------------------------------------------------
 def test_contact_trace_as_arrays_matches_contacts_and_caches():
-    import numpy as np
-
     contacts = [Contact(5.0, 15.0, 2, 0), Contact(0.0, 10.0, 1, 3),
                 Contact(0.0, 0.0, 0, 3)]
     trace = ContactTrace(contacts, nodes=range(4), duration=60.0, name="a")
