@@ -45,11 +45,10 @@ from ..sim.scenarios import Scenario, get_scenario
 
 __all__ = ["ENGINES", "ExperimentSpec", "SweepAxis", "constraints_to_dict"]
 
-#: Supported simulation engines: the resource-constrained DES engine, the
-#: idealized model (unconstrained runs only, replayed by the vector kernel),
-#: and the array-native vector kernel (delivery-stream-equivalent to
-#: ``des``, built for 10k+-node scenarios; bandwidth/fault configurations
-#: delegate to des).
+#: Accepted engine names: three values, one engine.  ``"trace"`` asks for
+#: the idealized model (the plan rejects constrained grid points for it);
+#: all three run :class:`~repro.sim.engine.DesSimulator`.  The names are
+#: kept because the value is hashed into every stored job.
 ENGINES = ("des", "trace", "vector")
 
 
@@ -131,12 +130,10 @@ class ExperimentSpec:
     sweep:
         Optional :class:`SweepAxis` gridded on top of the base constraints.
     engine:
-        ``"des"`` (default), ``"vector"`` (array-native kernel,
-        delivery-stream-equivalent to ``des`` and an order of magnitude
-        faster on city-scale scenarios), or ``"trace"`` (the paper's
-        idealized model: requires unconstrained grid points and runs on
-        the vector kernel; kept as its own value so existing specs and job
-        hashes stay valid).
+        ``"des"`` (default), ``"vector"`` or ``"trace"`` (the paper's
+        idealized model: requires unconstrained grid points).  All three
+        run the one engine; the value only enters the job hash, so
+        existing specs and stored jobs stay valid.
     copy_semantics:
         ``"copy"`` / ``"handoff"`` override; ``None`` uses each scenario's.
     """

@@ -20,10 +20,9 @@ propagation stops once the message is delivered, which does not affect any
 reported metric but keeps large epidemic simulations fast; pass
 ``stop_on_delivery=False`` to keep flooding after delivery.
 
-These are the semantics of the resource-constrained engines of
-:mod:`repro.sim` with every constraint disabled and no message expiring,
-so the replay itself is the array-native kernel
-:class:`~repro.sim.vector.VectorSimulator` fixed to
+These are the semantics of the engine of :mod:`repro.sim` with every
+constraint disabled and no message expiring, so the replay itself is
+:class:`~repro.sim.engine.DesSimulator` fixed to
 :data:`~repro.sim.engine.UNCONSTRAINED`.
 """
 

@@ -1,13 +1,13 @@
-"""Structured trace events: an opt-in probe API for the engines.
+"""Structured trace events: an opt-in probe API for the engine.
 
 A tracer is any object with ``emit(event, time, **fields)``.
-:class:`~repro.sim.DesSimulator` and the vector kernel
-:class:`~repro.sim.VectorSimulator` (hence also
-:class:`~repro.forwarding.ForwardingSimulator`) accept one via their
+:class:`~repro.sim.DesSimulator` (hence also
+:class:`~repro.forwarding.ForwardingSimulator`) accepts one via its
 ``tracer`` argument; the default is ``None`` and every probe site is
 guarded by a single ``is not None`` check, so a tracerless run allocates
-nothing on the hot path and its event stream is untouched (the
-engine-equivalence suites pin this byte-for-byte).
+nothing on the hot path.  Attaching a tracer never changes the simulated
+behaviour, and the JSONL bytes of two traced runs are frozen in
+``tests/golden/delivery_streams.json``.
 
 Event vocabulary (fields beyond ``event``/``t`` vary per event):
 
@@ -202,9 +202,9 @@ class JsonlTracer(Tracer):
 class BufferedTracer(Tracer):
     """Buffers emissions and forwards them to an inner tracer in batches.
 
-    The vector engine emits contact events from a tight array-driven loop
-    where even the inner tracer's per-event validation/formatting work is
-    measurable; buffering decouples the hot loop from the sink while
+    The engine emits contact events from a tight array-driven loop where
+    even the inner tracer's per-event validation/formatting work is
+    measurable; buffering decouples the event loop from the sink while
     preserving the exact event stream: events are flushed strictly in emit
     order (the JSONL time-ordering contract survives), and :meth:`close`
     drains the buffer before closing the inner tracer, so the resulting

@@ -26,14 +26,14 @@ PRoPHET's learned delivery predictabilities, probabilistic flooding — need
 ``on_delivered(message, now)``
     the message reached its destination (first delivery only).
 
-Both engines — the resource-constrained :class:`repro.sim.DesSimulator`
-and the vector kernel :class:`repro.sim.VectorSimulator` (which also runs
-:class:`repro.forwarding.ForwardingSimulator`) — invoke the hooks at the
-same points in the same event order, so a deterministic protocol produces
-identical delivery streams in both (enforced by
-``tests/test_vector_equivalence.py``, and against frozen streams by
-``tests/test_golden_streams.py``).  Delivery to the destination itself
-remains the engines' *minimal progress* rule and is never a protocol
+The engine, :class:`repro.sim.DesSimulator` (which also runs
+:class:`repro.forwarding.ForwardingSimulator`), invokes the hooks at fixed
+points in event order, so a deterministic protocol produces the same
+delivery streams on every run (pinned against frozen streams by
+``tests/test_golden_streams.py``; a fast-path protocol gives the same
+streams on its fast path and with its hooks called, enforced by
+``tests/test_vector_equivalence.py``).  Delivery to the destination itself
+remains the engine's *minimal progress* rule and is never a protocol
 decision; it does not spend replication budget.
 """
 
@@ -67,14 +67,14 @@ class RoutingProtocol(ABC):
     #: What the protocol knows ("none", "history", "oracle", "learned").
     knowledge: str = "none"
 
-    #: Whether the vector engine may skip history recording and the
+    #: Whether the engine may skip history recording and the
     #: per-contact hooks for this protocol (it neither reads the online
     #: contact history nor implements ``on_contact_start``/``end``).
     #: Opt in via :class:`repro.routing.vector.VectorProtocol`.
     vector_fastpath: bool = False
 
-    #: Optional batch twin of ``should_forward`` used by the vector
-    #: engine; ``None`` keeps the protocol on the scalar decision path.
+    #: Optional batch twin of ``should_forward`` used by the engine's
+    #: fast path; ``None`` keeps the protocol on the scalar decision path.
     vector_approvals = None
 
     def prepare(self, trace: ContactTrace) -> None:

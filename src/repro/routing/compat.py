@@ -37,7 +37,7 @@ class AlgorithmProtocol(RoutingProtocol):
         self.knowledge = ("oracle" if algorithm.uses_future_knowledge
                           else "history")
         # Epidemic is the one paper algorithm that consults neither the
-        # contact history nor any hook, so the vector engine may run it on
+        # contact history nor any hook, so the engine may run it on
         # the fast path; the other five read the history on every decision
         # and stay on the per-contact fallback.
         if isinstance(algorithm, EpidemicForwarding):

@@ -1,6 +1,6 @@
-"""The vectorized fast-path protocol API for the array-native DES kernel.
+"""The vectorized fast-path protocol API of the DES engine.
 
-:class:`repro.sim.vector.VectorSimulator` screens every contact with
+:class:`repro.sim.engine.DesSimulator` screens every contact with
 per-node candidate bitmasks before consulting the protocol, and asks the
 protocol to judge the surviving candidates *as a batch* instead of one
 ``should_forward`` call per message.  A protocol opts into that fast path
@@ -14,7 +14,7 @@ The mixin carries two independent capabilities:
 :class:`~repro.routing.base.RoutingProtocol`)
     Declares that the protocol neither reads the online contact history
     nor implements the ``on_contact_start``/``on_contact_end`` hooks, so
-    the vector engine may skip history recording and the per-contact hook
+    the engine may skip history recording and the per-contact hook
     calls entirely.  This is where most of the per-event win comes from —
     a 10k-node trace has hundreds of thousands of contact events and the
     vast majority of them move no messages.
@@ -26,13 +26,14 @@ The mixin carries two independent capabilities:
     (carrier holds a live copy, the peer never held one), and it must
     return exactly what ``should_forward`` would have returned for each
     message in order — the engine charges the same number of forwarding
-    decisions/approvals either way, so the resource counters of a vector
-    run match the DES engine's bit for bit.
+    decisions/approvals either way, so the resource counters are the same
+    bit for bit on the fast path and the per-message path.
 
 Batch evaluation is sound for these protocols because judging one message
 never changes the verdict of another in the same batch: ``on_forwarded``
 (where budgets are spent and tokens move) only touches the state of the
-message that actually moved, which appears exactly once per batch.  A
+message that actually moved, which appears exactly once per batch (with
+bandwidth or channel faults no copy moves during a batch at all).  A
 protocol whose verdicts couple across messages must not implement
 ``vector_approvals``; declaring only ``vector_fastpath`` (or nothing at
 all) keeps it on the scalar path.
@@ -57,7 +58,7 @@ class VectorProtocol:
     paper-algorithm compatibility layer) can duck-type the same surface.
     """
 
-    #: The vector engine may skip history recording and contact hooks.
+    #: The engine may skip history recording and contact hooks.
     vector_fastpath: bool = True
 
     def vector_approvals(self, carrier: NodeId, peer: NodeId,

@@ -1,17 +1,19 @@
 """Resource-constrained discrete-event forwarding simulation.
 
-This package extends the paper's idealized Section 6 evaluation with an
-event-driven engine (:mod:`repro.sim.engine`) that models finite buffers,
-bandwidth-limited contacts and message TTL, a scenario registry
-(:mod:`repro.sim.scenarios`), a batch/sweep runner
+This package extends the paper's idealized Section 6 evaluation with one
+event-driven engine (:mod:`repro.sim.engine`, over the presorted event
+timeline of :mod:`repro.sim.events`) that models finite buffers,
+bandwidth-limited contacts, message TTL, channel faults and node churn, a
+scenario registry (:mod:`repro.sim.scenarios`), a batch/sweep runner
 (:mod:`repro.sim.runner`) and the ``python -m repro`` command line
 (:mod:`repro.sim.cli`).
 
 With all constraints disabled the engine replays the paper's idealized
 Section 6.1 model; :class:`repro.forwarding.ForwardingSimulator` is the
-array-native vector kernel (:mod:`repro.sim.vector`) fixed to that
-configuration.  The paper's six forwarding algorithms run unchanged in
-every engine, wrapped by :func:`repro.routing.ensure_protocol`.
+engine fixed to that configuration, and
+:class:`~repro.sim.vector.VectorSimulator` is the engine under the former
+vector kernel's name.  The paper's six forwarding algorithms run
+unchanged, wrapped by :func:`repro.routing.ensure_protocol`.
 """
 
 from .buffers import (
@@ -28,7 +30,6 @@ from .engine import (
     DesSimulator,
     ResourceConstraints,
     ResourceStats,
-    simulate_des,
 )
 from .faults import ChannelSpec, ChurnSpec
 from .vector import VectorSimulator
@@ -58,7 +59,6 @@ __all__ = [
     "DesSimulator",
     "ResourceConstraints",
     "ResourceStats",
-    "simulate_des",
     "VectorSimulator",
     "ChannelSpec",
     "ChurnSpec",

@@ -120,7 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_obs_commands(commands)
     add_svc_commands(commands)
 
-
     return parser
 
 

@@ -1,10 +1,9 @@
-"""Resource-constrained discrete-event forwarding engine.
+"""The forwarding engine: one discrete-event replay for every run.
 
 The paper's Section 6 model replays contacts under idealized assumptions:
 infinite buffers, instantaneous bidirectional exchanges, no message expiry.
-:class:`DesSimulator` is an event-driven engine (heap-based queue, no simpy
-dependency) that relaxes each assumption independently via
-:class:`ResourceConstraints`:
+:class:`DesSimulator` replays that model and relaxes each assumption
+independently via :class:`ResourceConstraints`:
 
 * **finite per-node buffers** with a drop policy (:mod:`repro.sim.buffers`);
 * **bandwidth-limited contacts** — a transfer of ``size`` bytes over a link
@@ -33,8 +32,21 @@ endpoints offer their carried messages; a received copy relays at once
 over every active contact (the zero-time cascade).  Delivery sets,
 first-delivery times, hop counts, tie order and copy counts equal the
 frozen golden streams of ``tests/golden/delivery_streams.json``
-(``tests/test_golden_streams.py``), and the vector kernel
-(:mod:`repro.sim.vector`) reproduces this engine exactly.
+(``tests/test_golden_streams.py``).
+
+Design
+------
+Every event but transfer completions and retransmissions is known before
+the run: one presorted :class:`~repro.sim.events.Timeline` holds them, and
+only those two go on a small heap.  Per-node ``carried`` and ``ever_held``
+bitmasks over messages screen each contact's offers with
+``carried[a] & ~(ever_held[b] | stopped)``, so a contact that can move
+nothing costs a few integer operations; protocols mixing in
+:class:`~repro.routing.vector.VectorProtocol` judge the surviving offers as
+one batch; infinite buffers keep only occupancy counters.  A hot loop with
+the contact bookkeeping inlined replays the timeline when the protocol is
+fast-path, no tracer or telemetry is attached and no event can be pushed
+or cut short; every other run goes through one general loop.
 
 Semantics choices under constraints (documented, deterministic):
 
@@ -75,7 +87,7 @@ byte-identical draws):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import ClassVar, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -111,7 +123,6 @@ __all__ = [
     "ResourceStats",
     "ConstrainedSimulationResult",
     "DesSimulator",
-    "simulate_des",
 ]
 
 #: :class:`ResourceConstraints` axes a sweep/experiment grid can vary.
@@ -293,26 +304,8 @@ class ResourceStats:
     truncated_contacts: int = 0
 
     def as_dict(self) -> Dict[str, float]:
-        return {
-            "copies_sent": self.copies_sent,
-            "bytes_sent": self.bytes_sent,
-            "buffer_evictions": self.buffer_evictions,
-            "buffer_rejections": self.buffer_rejections,
-            "source_rejections": self.source_rejections,
-            "expired_messages": self.expired_messages,
-            "expired_copies": self.expired_copies,
-            "partial_transfers": self.partial_transfers,
-            "resumed_transfers": self.resumed_transfers,
-            "cancelled_transfers": self.cancelled_transfers,
-            "peak_buffer_occupancy": self.peak_buffer_occupancy,
-            "forwarding_decisions": self.forwarding_decisions,
-            "forwarding_approvals": self.forwarding_approvals,
-            "lost_transfers": self.lost_transfers,
-            "retransmissions": self.retransmissions,
-            "node_crashes": self.node_crashes,
-            "churn_dropped_copies": self.churn_dropped_copies,
-            "truncated_contacts": self.truncated_contacts,
-        }
+        """Every counter, in field order."""
+        return asdict(self)
 
 
 @dataclass
@@ -503,15 +496,10 @@ class DesSimulator:
         outcomes = []
         delivered = self._delivered
         for message in message_list:
-            if message.id in delivered:
-                delivery_time, hops = delivered[message.id]
-                outcomes.append(DeliveryOutcome(
-                    message=message, delivered=True,
-                    delivery_time=delivery_time, hop_count=hops))
-            else:
-                outcomes.append(DeliveryOutcome(
-                    message=message, delivered=False,
-                    delivery_time=None, hop_count=None))
+            delivery_time, hops = delivered.get(message.id, (None, None))
+            outcomes.append(DeliveryOutcome(
+                message=message, delivered=message.id in delivered,
+                delivery_time=delivery_time, hop_count=hops))
         stats.peak_buffer_occupancy = max(
             self._buf_peak if self._fastbuf
             else (buffer.peak_used for buffer in self._buffers), default=0.0)
@@ -566,11 +554,10 @@ class DesSimulator:
         add(CONTACT_START, starts, a_index, b_index, contact_index)
         add(CONTACT_END, until, a_index, b_index, contact_index)
         add(CREATE, [m.creation_time for m in messages], range(len(messages)))
-        expiring = [(index, expiry) for index, expiry in (
-            (index, self._constraints.effective_expiry(m))
-            for index, m in enumerate(messages)) if expiry is not None]
-        add(EXPIRE, [expiry for _, expiry in expiring],
-            [index for index, _ in expiring])
+        expiries = [self._constraints.effective_expiry(m) for m in messages]
+        expiring = [index for index, expiry in enumerate(expiries)
+                    if expiry is not None]
+        add(EXPIRE, [expiries[index] for index in expiring], expiring)
         if self._churn is not None:
             schedule = self._churn.schedule(self._trace.nodes,
                                             self._trace.duration, self._seed)
@@ -634,30 +621,23 @@ class DesSimulator:
 
     def _general_loop(self, timeline: Timeline, telemetry) -> None:
         """The dispatch loop for everything else, over the merged timeline."""
-        on_contact_start = self._on_contact_start
-        on_contact_end = self._on_contact_end
+        handlers = {
+            CONTACT_START: self._on_contact_start,
+            CONTACT_END: self._on_contact_end,
+            CREATE: self._on_create,
+            EXPIRE: self._on_expire,
+            TRANSFER_DONE: self._on_transfer_done,
+            RETRANSMIT: self._on_retransmit,
+            NODE_DOWN: self._on_node_down,
+            NODE_UP: self._on_node_up,
+        }
         # only bandwidth and channel runs push events; the others walk the
         # static columns without the merge
         linked = self._linked
         events = iter(timeline) if linked else zip(*timeline.columns)
         remaining = len(timeline)
         for time, kind, a, b, c in events:
-            if kind == CONTACT_START:
-                on_contact_start(time, a, b, c)
-            elif kind == CONTACT_END:
-                on_contact_end(time, a, b, c)
-            elif kind == CREATE:
-                self._on_create(time, a)
-            elif kind == TRANSFER_DONE:
-                self._on_transfer_done(time, a, b, c)
-            elif kind == RETRANSMIT:
-                self._on_retransmit(time, a, b, c)
-            elif kind == NODE_DOWN:
-                self._on_node_down(time, a)
-            elif kind == NODE_UP:
-                self._on_node_up(time, a)
-            else:  # EXPIRE
-                self._on_expire(time, a)
+            handlers[kind](time, a, b, c)
             if telemetry is None:
                 continue
             remaining = len(timeline) if linked else remaining - 1
@@ -671,15 +651,15 @@ class DesSimulator:
     # ------------------------------------------------------------------
     def _on_contact_start(self, time: float, a: int, b: int,
                           contact: int) -> None:
-        down = self._down
-        if down and (a in down or b in down):
-            # a contact is only ever observed from its start: with an
-            # endpoint down, neither the protocols nor the history see it,
-            # and its CONTACT_END is skipped via the severed mark
-            self._severed.add(contact)
-            self._stats.truncated_contacts += 1
-            return
         if self._churn is not None:
+            down = self._down
+            if a in down or b in down:
+                # a contact is only ever observed from its start: with an
+                # endpoint down, neither the protocols nor the history see
+                # it, and its CONTACT_END is skipped via the severed mark
+                self._severed.add(contact)
+                self._stats.truncated_contacts += 1
+                return
             self._open[contact] = (a, b)
         if self._run_tracer is not None:
             self._run_tracer.emit("contact_start", time,
@@ -715,12 +695,13 @@ class DesSimulator:
                         truncated: bool = False) -> None:
         """Close a contact at its trace end, or early (*truncated*) when a
         crash cuts it short."""
-        if self._severed and contact in self._severed:
-            # truncated at a crash (bookkeeping and the protocol hook fired
-            # then) or never observed (an endpoint was down at the start)
-            self._severed.discard(contact)
-            return
         if self._churn is not None:
+            if contact in self._severed:
+                # truncated at a crash (bookkeeping and the protocol hook
+                # fired then) or never observed (an endpoint was down at
+                # the start)
+                self._severed.discard(contact)
+                return
             del self._open[contact]
             if truncated:
                 self._severed.add(contact)
@@ -738,17 +719,14 @@ class DesSimulator:
             counts[pair] = remaining
         node_of = self._node_of
         if self._run_tracer is not None:
-            if truncated:
-                self._run_tracer.emit("contact_end", time, a=node_of[a],
-                                      b=node_of[b], truncated=True)
-            else:
-                self._run_tracer.emit("contact_end", time,
-                                      a=node_of[a], b=node_of[b])
+            flag = {"truncated": True} if truncated else {}
+            self._run_tracer.emit("contact_end", time, a=node_of[a],
+                                  b=node_of[b], **flag)
         if not self._fastpath:
             self._protocol.on_contact_end(node_of[a], node_of[b], time,
                                           self._history)
 
-    def _on_create(self, time: float, index: int) -> None:
+    def _on_create(self, time: float, index: int, *_) -> None:
         message = self._messages[index]
         message_id = message.id
         tracer = self._run_tracer
@@ -786,7 +764,7 @@ class DesSimulator:
                                   node=message.source,
                                   reason="source_rejected")
 
-    def _on_expire(self, time: float, index: int) -> None:
+    def _on_expire(self, time: float, index: int, *_) -> None:
         message_id = self._messages[index].id
         bit = self._bit_of[message_id]
         self._stop_bits |= bit
@@ -803,7 +781,7 @@ class DesSimulator:
         if message_id not in self._delivered and self._launched_bits & bit:
             self._stats.expired_messages += 1
 
-    def _on_node_down(self, time: float, node: int) -> None:
+    def _on_node_down(self, time: float, node: int, *_) -> None:
         tracer = self._run_tracer
         node_of = self._node_of
         self._down.add(node)
@@ -824,7 +802,7 @@ class DesSimulator:
                 tracer.emit("drop", time, msg=message_id,
                             node=node_of[node], reason="churn")
 
-    def _on_node_up(self, time: float, node: int) -> None:
+    def _on_node_up(self, time: float, node: int, *_) -> None:
         # the node rejoins empty; contacts that started during the outage
         # stay unobserved for their remainder (a contact is only ever
         # entered at its start event)
@@ -861,10 +839,7 @@ class DesSimulator:
                                       node=self._node_of[peer],
                                       reason="cancelled")
             return
-        if self._receive(message, peer, time, hops, carrier) \
-                and peer != self._dest_of[message.id]:
-            self._relayed(message, carrier, peer, time, hops)
-            self._cascade(message, peer, time)
+        self._hand_over(message, carrier, peer, time, hops)
 
     # ------------------------------------------------------------------
     # the exchange path
@@ -921,8 +896,7 @@ class DesSimulator:
         if time < receive_time:
             return False
         hops += 1
-        is_destination = peer == self._dest_of[message_id]
-        if not is_destination:
+        if peer != self._dest_of[message_id]:
             stats = self._stats
             stats.forwarding_decisions += 1
             if approved is None:
@@ -936,29 +910,7 @@ class DesSimulator:
         if self._linked:
             self._schedule_transfer(message, carrier, peer, time, hops)
             return False
-        if not self._receive(message, peer, time, hops, carrier):
-            return False
-        if is_destination:
-            # delivery neither triggers a cascade from the destination nor
-            # a hand-off removal
-            return True
-        self._relayed(message, carrier, peer, time, hops)
-        if cascade:
-            self._cascade(message, peer, time)
-        return True
-
-    def _relayed(self, message: Message, carrier: int, peer: int,
-                 time: float, hops: int) -> None:
-        """A relay copy reached *peer*: hooks, probe and hand-off."""
-        node_of = self._node_of
-        self._protocol.on_forwarded(message, node_of[carrier], node_of[peer],
-                                    time)
-        if self._run_tracer is not None:
-            self._run_tracer.emit("forward", time, msg=message.id,
-                                  src=node_of[carrier], dst=node_of[peer],
-                                  hops=hops)
-        if not self._copy:
-            self._drop_copy(carrier, message.id)
+        return self._hand_over(message, carrier, peer, time, hops, cascade)
 
     def _cascade(self, message: Message, start_node: int,
                  time: float) -> None:
@@ -1102,24 +1054,34 @@ class DesSimulator:
             message_id=message_id, size=size, receive_time=time,
             sequence=sequence))
 
-    def _receive(self, message: Message, peer: int, time: float,
-                 hops: int, carrier: int) -> bool:
+    def _hand_over(self, message: Message, carrier: int, peer: int,
+                   time: float, hops: int, cascade: bool = True) -> bool:
         """Hand a copy from *carrier* to *peer*; True if it was received.
 
-        Delivery at the destination always succeeds; a relaying copy is
-        stored only if the buffer admits it.
+        Delivery at the destination always succeeds and neither cascades
+        nor costs the carrier its copy.  A relaying copy is stored only if
+        the buffer admits it; then the protocol hook, the probe, the
+        hand-off removal and (with *cascade*) the zero-time cascade follow.
         """
         stats = self._stats
         message_id = message.id
         is_destination = peer == self._dest_of[message_id]
         tracer = self._run_tracer
-        admitted, evicted = self._admit(peer, message_id, time)
-        if not admitted and not is_destination:
-            stats.buffer_rejections += 1
-            if tracer is not None:
-                tracer.emit("drop", time, msg=message_id,
-                            node=self._node_of[peer], reason="rejected")
-            return False
+        node_of = self._node_of
+        if self._fastbuf:  # _admit's first branch, inlined on this hot path
+            used = self._buf_used[peer] + self._size_of[message_id]
+            self._buf_used[peer] = used
+            if used > self._buf_peak[peer]:
+                self._buf_peak[peer] = used
+            admitted, evicted = True, None
+        else:
+            admitted, evicted = self._admit(peer, message_id, time)
+            if not admitted and not is_destination:
+                stats.buffer_rejections += 1
+                if tracer is not None:
+                    tracer.emit("drop", time, msg=message_id,
+                                node=node_of[peer], reason="rejected")
+                return False
         bit = self._bit_of[message_id]
         self._ever_bits[peer] |= bit
         stats.copies_sent += 1
@@ -1130,19 +1092,28 @@ class DesSimulator:
             self._protocol.on_delivered(message, time)
             if tracer is not None:
                 tracer.emit("deliver", time, msg=message_id,
-                            node=self._node_of[peer], hops=hops,
+                            node=node_of[peer], hops=hops,
                             delay=time - message.creation_time,
-                            src=self._node_of[carrier])
+                            src=node_of[carrier])
         if admitted:
-            holders = self._holdings.get(message_id)
-            if holders is not None:
-                holders[peer] = (time, hops)
-            else:  # defensive: holdings exist whenever copies circulate
-                self._holdings[message_id] = {peer: (time, hops)}
+            # holdings exist while the message lives: it launched, and an
+            # expired one is stopped before any copy could move
+            self._holdings[message_id][peer] = (time, hops)
             self._carried[peer].add(message_id)
             self._carried_bits[peer] |= bit
             if evicted:
                 self._drop_evicted(peer, evicted, time)
+        if is_destination:
+            return True
+        self._protocol.on_forwarded(message, node_of[carrier], node_of[peer],
+                                    time)
+        if tracer is not None:
+            tracer.emit("forward", time, msg=message_id, src=node_of[carrier],
+                        dst=node_of[peer], hops=hops)
+        if not self._copy:
+            self._drop_copy(carrier, message_id)
+        if cascade:
+            self._cascade(message, peer, time)
         return True
 
     def _forget(self, node: int, message_id: int, bit: int) -> None:
@@ -1165,35 +1136,12 @@ class DesSimulator:
 
     def _drop_evicted(self, node: int, evicted: List[BufferEntry],
                       time: float) -> None:
-        """Unregister copies the node's buffer just evicted."""
-        tracer = self._run_tracer
+        """Unregister copies the node's buffer just evicted (removing them
+        from the buffer again is a no-op)."""
         for entry in evicted:
-            message_id = entry.message_id
-            holders = self._holdings.get(message_id)
-            if holders is not None:
-                holders.pop(node, None)
-            self._carried[node].discard(message_id)
-            self._carried_bits[node] &= ~self._bit_of[message_id]
-            if tracer is not None:
-                tracer.emit("drop", time, msg=message_id,
-                            node=self._node_of[node], reason="evicted")
+            self._drop_copy(node, entry.message_id)
+            if self._run_tracer is not None:
+                self._run_tracer.emit("drop", time, msg=entry.message_id,
+                                      node=self._node_of[node],
+                                      reason="evicted")
         self._stats.buffer_evictions += len(evicted)
-
-
-def simulate_des(
-    trace: ContactTrace,
-    algorithm: Union[ForwardingAlgorithm, RoutingProtocol],
-    messages: Sequence[Message],
-    constraints: ResourceConstraints = UNCONSTRAINED,
-    copy_semantics: str = "copy",
-    stop_on_delivery: bool = True,
-    seed: Optional[int] = None,
-    tracer: Optional[object] = None,
-    telemetry: Optional[object] = None,
-) -> ConstrainedSimulationResult:
-    """One-shot convenience wrapper around :class:`DesSimulator`."""
-    simulator = DesSimulator(trace, algorithm, constraints=constraints,
-                             copy_semantics=copy_semantics,
-                             stop_on_delivery=stop_on_delivery, seed=seed,
-                             tracer=tracer, telemetry=telemetry)
-    return simulator.run(messages)

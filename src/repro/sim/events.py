@@ -30,9 +30,8 @@ idealized model uses (starts < ends < creations):
 ``CREATE``
     Message creations come last at any instant.
 
-The integer values changed when the churn/retransmission kinds were added,
-but the *relative* order of the original five kinds is unchanged — which is
-what the frozen golden delivery streams depend on.
+Only the *relative* order of the kinds matters; the frozen golden
+delivery streams depend on it.
 
 Every event except ``TRANSFER_DONE`` and ``RETRANSMIT`` is known before
 the run starts: contact starts and ends, creations, expiries and the
@@ -115,22 +114,16 @@ class Timeline:
     def __iter__(self) -> Iterator[Event]:
         times, kinds, ev_a, ev_b, ev_c = self.columns
         heap = self._heap
-        heappop = heapq.heappop
         total = len(times)
-        position = self._position
-        while position < total:
-            time = times[position]
-            kind = kinds[position]
-            if heap:
-                top = heap[0]
-                if top[0] < time or (top[0] == time and top[1] < kind):
-                    heappop(heap)
-                    yield top[0], top[1], top[3], top[4], top[5]
-                    continue
-            position += 1
-            self._position = position
-            yield time, kind, ev_a[position - 1], ev_b[position - 1], \
-                ev_c[position - 1]
-        while heap:
-            top = heappop(heap)
-            yield top[0], top[1], top[3], top[4], top[5]
+        while self._position < total or heap:
+            position = self._position
+            # a dynamic event goes first only when strictly earlier in
+            # (time, kind): at a tie the static one has the smaller sequence
+            if heap and (position == total or heap[0][:2]
+                         < (times[position], kinds[position])):
+                top = heapq.heappop(heap)
+                yield top[0], top[1], top[3], top[4], top[5]
+            else:
+                self._position = position + 1
+                yield (times[position], kinds[position], ev_a[position],
+                       ev_b[position], ev_c[position])

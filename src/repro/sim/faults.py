@@ -27,8 +27,8 @@ and both draw all randomness through :func:`repro.synth.seeding.derive_rng`
 ("channel" / "churn" labels off the run's master seed), so fault
 realisations are byte-reproducible across serial, parallel and resumed
 execution.  A *null* spec (all rates zero) applies no faults at all — the
-engine takes its unchanged fast path and stays delivery-stream-identical
-to a run without the spec.
+engine takes the same path as without the spec and stays
+delivery-stream-identical to such a run.
 """
 
 from __future__ import annotations

@@ -91,8 +91,8 @@ def scenarios() -> Dict[str, Scenario]:
 register_scenario(Scenario(
     name="paper-ideal",
     description="Section 6 comparison on the CoNExT'06 9-12 stand-in under "
-                "the paper's idealized assumptions (the DES engine equals "
-                "the trace-driven simulator here)",
+                "the paper's idealized assumptions (the engine replays the "
+                "paper's idealized model here)",
     trace=DatasetTraceSpec(key="conext06-9-12", scale=0.15, contact_scale=0.15),
     workload=PoissonMessageWorkload(rate=0.01),
     constraints=UNCONSTRAINED,
@@ -173,7 +173,7 @@ register_scenario(Scenario(
     name="rwp-city-1k",
     description="1000-node random-waypoint city district (1.1 km square, "
                 "20 m radio, 90 minutes) with an early message burst: the "
-                "vector engine's quick benchmark arena, idealized resources",
+                "quick city-scale benchmark arena, idealized resources",
     trace=GridRandomWaypointTraceSpec(num_nodes=1000, duration=5400.0,
                                       step=30.0, width=1100.0, height=1100.0,
                                       radio_range=20.0, name="rwp-city-1k"),
@@ -188,8 +188,7 @@ register_scenario(Scenario(
     name="rwp-city-10k",
     description="10000-node random-waypoint city (3.5 km square, 20 m "
                 "radio, 90 minutes) with an early message burst: the "
-                "engine=\"vector\" headline scale — run it with the vector "
-                "engine; the DES engine needs minutes here",
+                "city-scale headline, idealized resources",
     trace=GridRandomWaypointTraceSpec(num_nodes=10000, duration=5400.0,
                                       step=30.0, width=3500.0, height=3500.0,
                                       radio_range=20.0, name="rwp-city-10k"),

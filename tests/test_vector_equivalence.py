@@ -231,12 +231,10 @@ def test_same_timestamp_batches_tie_break_like_the_des_heap(schedule):
     the order one ``heapq`` of ``(time, kind, sequence)`` pops, with the
     dynamic sequence numbers following the static ones."""
     static, pushes = schedule
-    columns = [[event[0] for event in static], [event[1] for event in static],
-               list(range(len(static)))]
-    timeline = Timeline(*(np.asarray(column, dtype=dtype) for column, dtype
-                          in zip(columns + [columns[2], columns[2]],
-                                 (np.float64, np.int64, np.int64, np.int64,
-                                  np.int64))))
+    times = np.array([time for time, _ in static], dtype=np.float64)
+    kinds = np.array([kind for _, kind in static], dtype=np.int64)
+    labels = np.arange(len(static))  # each static event's sequence number
+    timeline = Timeline(times, kinds, labels, labels, labels)
     heap = [(time, kind, sequence, sequence)
             for sequence, (time, kind) in enumerate(static)]
     heapq.heapify(heap)
