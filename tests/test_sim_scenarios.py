@@ -43,8 +43,9 @@ def test_every_scenario_runs_end_to_end():
     for name in scenario_names():
         nodes = get_scenario(name).node_count()
         if nodes is not None and nodes > 500:
-            # city-scale scenarios (rwp-city-*) exist for the vector
-            # engine's benchmarks; the DES pass here would take minutes
+            # city-scale scenarios (rwp-city-*) are replayed by the golden
+            # streams (1k) and bench_sim_engines.py (10k); the 10k trace
+            # build and replay alone would add about 20 s here
             continue
         result = run_scenario(name)
         assert result.num_messages > 0, name
