@@ -69,8 +69,9 @@ def add_exp_commands(commands: argparse._SubParsersAction) -> None:
                              help="ignore stored records and re-run every "
                                   "job (new records still persist)")
         command.add_argument("--engine", choices=ENGINES, default=None,
-                             help="override the spec's simulation kernel "
-                                  "(default: the spec's own engine field)")
+                             help="override the spec's engine field, which "
+                                  "enters every job hash; all values run "
+                                  "the one engine (default: the spec's own)")
         command.add_argument("--json", metavar="PATH", default=None,
                              help="also write the pooled rows as JSON")
         command.add_argument("--timeout", type=float, default=None,
