@@ -158,7 +158,8 @@ def run_faulted(name: str, protocol: str, tracer=None):
 
 
 def traced_digest(name: str, path: Path) -> str:
-    """SHA-256 of the JSONL trace file of one traced Epidemic run."""
+    """SHA-256 of the JSONL trace file of one traced Epidemic run, written
+    to *path*, which must not exist yet (the tracer appends)."""
     with JsonlTracer(path) as tracer:
         if name in FAULTED:
             run_faulted(name, "Epidemic", tracer=tracer)
