@@ -54,11 +54,12 @@ class Contact:
     def __post_init__(self) -> None:
         if self.a == self.b:
             raise ValueError(f"a contact requires two distinct nodes, got {self.a!r} twice")
-        if self.end < self.start:
+        # written so that NaN fails too: replays sort contacts by time
+        if not self.end >= self.start:
             raise ValueError(
                 f"contact end ({self.end}) precedes start ({self.start})"
             )
-        if self.start < 0:
+        if not self.start >= 0:
             raise ValueError(f"contact start must be non-negative, got {self.start}")
         # Canonical order: a <= b.  dataclass(frozen=True) requires
         # object.__setattr__ for normalisation.

@@ -53,11 +53,13 @@ class Message:
     def __post_init__(self) -> None:
         if self.source == self.destination:
             raise ValueError("source and destination must differ")
-        if self.creation_time < 0:
+        # written so that NaN fails too: the engine's event timeline needs
+        # a total order on times
+        if not self.creation_time >= 0:
             raise ValueError("creation_time must be non-negative")
-        if self.size <= 0:
+        if not self.size > 0:
             raise ValueError("size must be positive")
-        if self.ttl is not None and self.ttl <= 0:
+        if self.ttl is not None and not self.ttl > 0:
             raise ValueError("ttl must be positive (or None for no expiry)")
 
     @property

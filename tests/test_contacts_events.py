@@ -37,6 +37,12 @@ class TestContact:
         with pytest.raises(ValueError):
             Contact(-1.0, 5.0, 0, 1)
 
+    @pytest.mark.parametrize("start, end", [(float("nan"), 5.0),
+                                            (0.0, float("nan"))])
+    def test_rejects_nan_times(self, start, end):
+        with pytest.raises(ValueError):
+            Contact(start, end, 0, 1)
+
     def test_involves(self):
         contact = Contact(0.0, 1.0, 2, 7)
         assert contact.involves(2)

@@ -20,6 +20,13 @@ class TestMessage:
         with pytest.raises(ValueError):
             Message(id=0, source=1, destination=2, creation_time=-1.0)
 
+    @pytest.mark.parametrize("field", ["creation_time", "size", "ttl"])
+    def test_rejects_nan(self, field):
+        fields = {"id": 0, "source": 1, "destination": 2,
+                  "creation_time": 0.0, field: float("nan")}
+        with pytest.raises(ValueError, match=field):
+            Message(**fields)
+
     def test_messages_from_tuples(self):
         messages = messages_from_tuples([(0, 1, 5.0), (2, 3, 6.0)])
         assert [m.id for m in messages] == [0, 1]
