@@ -519,7 +519,7 @@ class DesSimulator:
         ``a <= b`` and the contact's trace index; creation and expiry the
         message's index; crash and reboot the interned node.  Within each
         kind, sequence order is trace order, message order and churn
-        schedule order, as the engine has always numbered them.
+        schedule order: the numbering the golden streams pin.
         """
         starts, ends, a_labels, b_labels = self._trace.as_arrays()
         num_contacts = len(starts)
@@ -564,10 +564,9 @@ class DesSimulator:
             windows = [(self._index_of(label), down, up)
                        for label, spans in schedule.items()
                        for down, up in spans]
-            add(NODE_DOWN, [down for _, down, _ in windows],
-                [node for node, _, _ in windows])
-            add(NODE_UP, [up for _, _, up in windows],
-                [node for node, _, _ in windows])
+            nodes = [node for node, _, _ in windows]
+            add(NODE_DOWN, [down for _, down, _ in windows], nodes)
+            add(NODE_UP, [up for _, _, up in windows], nodes)
         return Timeline(*(np.concatenate(column) for column in columns))
 
     def _hot_loop(self, columns) -> None:
