@@ -219,7 +219,7 @@ class ContactTrace:
         """Columnar ``(starts, ends, a, b)`` numpy arrays, built once.
 
         Four parallel arrays over the contacts in trace order, for
-        array-native consumers (the vector simulation kernel, bulk
+        array-native consumers (the simulation engine's timeline, bulk
         statistics).  Endpoint dtype is whatever numpy infers from the
         node labels (``int64`` for the library's integer ids).  The
         arrays are cached on the trace and shared between callers; treat

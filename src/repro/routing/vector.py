@@ -50,7 +50,7 @@ __all__ = ["VectorProtocol"]
 
 
 class VectorProtocol:
-    """Mixin marking a protocol as vector-kernel fast-path capable.
+    """Mixin marking a protocol as capable of the engine's fast path.
 
     Subclasses implement :meth:`vector_approvals`; see the module
     docstring for the contract.  The mixin is deliberately independent of

@@ -1,8 +1,8 @@
-"""The name the array-native vector kernel was published under.
+"""``VectorSimulator``: the one engine under a second name.
 
-The kernel's presorted timeline, per-node bitmask offer screen, batched
-``vector_approvals`` and hot loop now live in
-:class:`repro.sim.engine.DesSimulator`, the one engine.
+The presorted timeline, per-node bitmask offer screen, batched
+``vector_approvals`` and hot loop the name stands for are part of
+:class:`repro.sim.engine.DesSimulator`.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ __all__ = ["VectorSimulator"]
 
 
 class VectorSimulator(DesSimulator):
-    """:class:`~repro.sim.engine.DesSimulator` under its former kernel name.
+    """:class:`~repro.sim.engine.DesSimulator` under a second name.
 
-    Kept as a distinct class so code that wraps the kernel's entry points
-    (the end-to-end benchmark's per-layer spans) keeps its own hook.
+    Kept as a distinct class because the end-to-end benchmark imports it
+    and wraps its entry points in per-layer spans.
     """
