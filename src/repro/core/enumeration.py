@@ -37,6 +37,7 @@ excludes looping paths.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..contacts import ContactTrace, NodeId
@@ -490,7 +491,17 @@ class PathEnumerator:
     #
     # The engine replays the reference engine's iteration orders exactly
     # (see fastpath module docstring), so the two delivery streams are
-    # identical including tie order.
+    # identical including tie order.  Two rules keep each step's work
+    # proportional to the paths that can move:
+    #
+    # * fresh-edge rule — before the cascade, every stored path arrived in
+    #   an earlier step except the root at the first step, so an ongoing
+    #   (non-fresh) edge is skipped outright everywhere else;
+    # * eviction rule — a full store caches its (max hop count, first
+    #   index holding it).  The newcomer replaces that entry; the next
+    #   first maximum is the next entry after it with the same hop count,
+    #   and only when none is left does a C-speed rescan run.  A path with
+    #   at least the maximum hop count is dropped before it is built.
 
     def _enumerate_fast(
         self,
@@ -525,7 +536,7 @@ class PathEnumerator:
         first_slot: Dict[int, int] = {src_idx: 0}
         # emissions: (time, delivered_hop_count, step, delivered_link)
         emitted: List[Tuple[float, int, int, tuple]] = []
-        # cached (max_hop, first_max_index) per node store at capacity
+        # (max_hops, first_max_index) of every full node store
         cap_cache: Dict[int, Tuple[int, int]] = {}
 
         raw_adjacency = graph._adjacency
@@ -558,6 +569,7 @@ class PathEnumerator:
             delivered_this_step = self._process_step_fast(
                 store, first_slot, cap_cache, emitted, step, arrival_time,
                 dest_mask, dst_idx, destination, raw_adjacency[step], tables,
+                step == start_step,
             )
             total_deliveries += delivered_this_step
             if delivered_this_step >= k:
@@ -589,6 +601,7 @@ class PathEnumerator:
         destination: NodeId,
         raw_adjacency: Dict[NodeId, Set[NodeId]],
         tables,
+        first_step: bool,
     ) -> int:
         delivered = 0
         interner = tables.interner
@@ -628,30 +641,36 @@ class PathEnumerator:
                 del store[idx]
 
         # 2. Hand-offs from a post-delivery snapshot, in first-insertion
-        #    order (the reference engine's effective processing order).
+        #    order (the reference engine's effective processing order).  An
+        #    ongoing (non-fresh) edge only carries paths that arrived during
+        #    this step, and before the cascade the only such path is the
+        #    root at the first step: everywhere else the edge moves nothing.
+        #    A path that a full store would reject (see _place_fast) is
+        #    dropped here, before it is built.
         frontier: List[Tuple[int, tuple]] = []
-        snapshot = [(idx, list(held))
+        snapshot = [(idx, neighbor_list[idx], list(held))
                     for idx, held in sorted(store.items(),
-                                            key=lambda item: first_slot[item[0]])]
-        for idx, held in snapshot:
-            neighbors = neighbor_list.get(idx)
-            if not neighbors:
-                continue
+                                            key=lambda item: first_slot[item[0]])
+                    if idx in neighbor_list]
+        for idx, neighbors, held in snapshot:
             for peer_idx, fresh in neighbors:
-                if peer_idx == dst_idx:
+                if peer_idx == dst_idx or not (fresh or first_step):
                     continue
                 peer = node_of[peer_idx]
                 peer_bit = 1 << peer_idx
-                for entry in held:
-                    if not fresh and entry[2] < step:
-                        # Ongoing contact, old path: the hand-off already
-                        # happened in an earlier step.
+                worst = cap_cache.get(peer_idx)
+                if worst is None:
+                    moving = [entry for entry in held if not entry[1] & peer_bit]
+                else:
+                    bound = worst[0] - 1
+                    moving = [entry for entry in held
+                              if entry[3] < bound and not entry[1] & peer_bit]
+                for link, mask, _, hop_count in moving:
+                    worst = cap_cache.get(peer_idx)
+                    if worst is not None and worst[0] <= hop_count + 1:
                         continue
-                    mask = entry[1]
-                    if mask & peer_bit:
-                        continue
-                    new_entry = ((entry[0], peer, arrival_time),
-                                 mask | peer_bit, step, entry[3] + 1)
+                    new_entry = ((link, peer, arrival_time),
+                                 mask | peer_bit, step, hop_count + 1)
                     delivered += place(
                         store, first_slot, cap_cache, emitted, new_entry,
                         peer_idx, dest_mask, arrival_time, step, destination,
@@ -665,12 +684,16 @@ class PathEnumerator:
             if not neighbors:
                 continue
             link, mask, _, hop_count = entry
+            hop_count += 1
             for peer_idx, _ in neighbors:
                 peer_bit = 1 << peer_idx
                 if peer_idx == dst_idx or mask & peer_bit:
                     continue
+                worst = cap_cache.get(peer_idx)
+                if worst is not None and worst[0] <= hop_count:
+                    continue
                 new_entry = ((link, node_of[peer_idx], arrival_time),
-                             mask | peer_bit, step, hop_count + 1)
+                             mask | peer_bit, step, hop_count)
                 delivered += place(
                     store, first_slot, cap_cache, emitted, new_entry,
                     peer_idx, dest_mask, arrival_time, step, destination,
@@ -692,38 +715,52 @@ class PathEnumerator:
         destination: NodeId,
         frontier: List[Tuple[int, tuple]],
     ) -> int:
+        """Place a new path at node *idx*; returns the deliveries caused.
+
+        ``cap_cache`` holds ``(max_hops, first_max_index)`` for exactly the
+        node stores that are full.  A full store keeps the k shortest paths
+        by evicting the first entry that holds the maximum (the entry the
+        reference engine's max() picks) for a path with fewer hops; a path
+        with at least ``max_hops`` hops would be rejected unchanged, and
+        callers drop it before calling.
+        """
         if dest_mask >> idx & 1:  # immediate delivery (first preference)
             emitted.append((arrival_time, entry[3] + 1, step,
                             (entry[0], destination, arrival_time)))
             return 1
-        held = store.get(idx)
-        if held is None:
-            held = store[idx] = []
-            if idx not in first_slot:
-                first_slot[idx] = len(first_slot)
-        if len(held) < self._k:
+        worst = cap_cache.get(idx)
+        if worst is None:
+            held = store.get(idx)
+            if held is None:
+                held = store[idx] = []
+                if idx not in first_slot:
+                    first_slot[idx] = len(first_slot)
             held.append(entry)
-            frontier.append((idx, entry))
-            return 0
-        # At capacity: keep the k shortest by hop count.  The reference
-        # engine rescans for the first index holding the maximum hop count
-        # on every placement; cache that scan until the list changes.
-        cached = cap_cache.get(idx)
-        if cached is None:
-            worst_hops = -1
-            worst_index = 0
-            for position, existing in enumerate(held):
-                if existing[3] > worst_hops:
-                    worst_hops = existing[3]
-                    worst_index = position
-            cached = (worst_hops, worst_index)
-            cap_cache[idx] = cached
-        worst_hops, worst_index = cached
-        if worst_hops > entry[3]:
+            if len(held) == self._k:
+                cap_cache[idx] = _first_max(held)
+        else:
+            # The entries before the evicted index hold fewer hops and the
+            # newcomer fewer than the maximum, so the next first maximum is
+            # the next entry after it with the same hop count.  Only when
+            # none is left has the maximum dropped, and a full rescan runs.
+            held = store[idx]
+            worst_hops, worst_index = worst
             held[worst_index] = entry
-            cap_cache.pop(idx, None)
-            frontier.append((idx, entry))
+            for position in range(worst_index + 1, len(held)):
+                if held[position][3] == worst_hops:
+                    cap_cache[idx] = (worst_hops, position)
+                    break
+            else:
+                cap_cache[idx] = _first_max(held)
+        frontier.append((idx, entry))
         return 0
+
+
+def _first_max(held: List[tuple]) -> Tuple[int, int]:
+    """``(max_hops, first_max_index)`` of a fast-engine node store."""
+    hops = list(map(itemgetter(3), held))
+    worst_hops = max(hops)
+    return worst_hops, hops.index(worst_hops)
 
 
 def _materialize_hops(link: tuple) -> Tuple[Hop, ...]:

@@ -18,7 +18,10 @@ DTN simulators:
   - ``neighbor_lists[step][i]`` — the interned neighbours of node *i*, each
     paired with a precomputed *freshness* flag (True when the contact edge
     was not active at ``step - 1``), eliminating the per-hand-off
-    ``in_contact(node, peer, step - 1)`` lookup of the seed engine;
+    ``in_contact(node, peer, step - 1)`` lookup of the seed engine.  A
+    stored path crosses an ongoing (non-fresh) edge only in the step it
+    arrived, so the enumerator skips such an edge outright except at a
+    message's first step, where the root path sits;
   - ``neighbor_masks[step][i]`` — the same neighbourhood as a bitmask, used
     for the first-preference purge and for O(1) "is this node in contact
     with the destination" tests;

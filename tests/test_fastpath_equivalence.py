@@ -11,6 +11,8 @@ also pins the batch/parallel entry points to the serial stream.
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import run_path_explosion_study
 from repro.contacts import Contact, ContactTrace
@@ -217,6 +219,62 @@ def test_engines_agree_across_delta():
                                     max_total_deliveries=30),
                 context=f"delta={delta} {message}",
             )
+
+
+@st.composite
+def _tie_heavy_case(draw):
+    """A tiny trace on a coarse grid plus one message and a ``k``.
+
+    Contact starts and ends fall on 5 s marks with Δ = 10 s, so many edges
+    open in the same step and equal-hop paths tie; contacts last up to five
+    steps, so edges stay active (non-fresh) across steps.  Contacts with
+    the destination start no earlier than 40 s, so stores fill up (and
+    evict) before paths are delivered.  The message is created at step 0,
+    inside a contact (ongoing edges at its first step) or at any grid mark.
+    """
+    num_nodes = draw(st.integers(4, 12))
+    source = draw(st.integers(0, num_nodes - 1))
+    destination = draw(st.integers(0, num_nodes - 2))
+    if destination >= source:
+        destination += 1
+    contacts = []
+    for _ in range(draw(st.integers(8, 60))):
+        a = draw(st.integers(0, num_nodes - 1))
+        b = draw(st.integers(0, num_nodes - 2))
+        if b >= a:
+            b += 1
+        earliest = 8 if destination in (a, b) else 0
+        start = 5.0 * draw(st.integers(earliest, 16))
+        contacts.append(Contact(start, start + 5.0 * draw(st.integers(0, 10)),
+                                a, b))
+    trace = ContactTrace(contacts, nodes=range(num_nodes), duration=140.0,
+                         name="hypothesis")
+    when = draw(st.sampled_from(("zero", "mid-contact", "grid")))
+    if when == "zero":
+        created = 0.0
+    elif when == "mid-contact":
+        contact = draw(st.sampled_from(contacts))
+        created = contact.start + (contact.end - contact.start) * draw(
+            st.sampled_from((0.0, 0.25, 0.5, 0.75)))
+    else:
+        created = 5.0 * draw(st.integers(0, 28))
+    k = draw(st.integers(1, 6))
+    cap = draw(st.sampled_from((None, k)))
+    return trace, (source, destination, created), k, cap
+
+
+@given(case=_tie_heavy_case())
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_fast_engine_equals_reference_on_random_tie_heavy_traces(case):
+    """Eviction order, the ongoing-edge rule and the stop rules agree with
+    the reference engine, tie order included."""
+    trace, (source, destination, created), k, cap = case
+    graph = SpaceTimeGraph(trace, delta=10.0)
+    results = [PathEnumerator(graph, k=k, engine=engine).enumerate(
+        source, destination, created, max_total_deliveries=cap)
+        for engine in ("fast", "reference")]
+    _assert_streams_equal(*results, context=f"k={k} cap={cap}")
 
 
 def test_rejects_unknown_engine():
