@@ -18,6 +18,7 @@ Figure 4/5/6/8 benchmarks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -199,14 +200,15 @@ def arrival_curve(
     returned; otherwise arrivals are binned, which is how Figure 6 presents
     the growth of the path count for slow-explosion messages.
     """
+    if bin_seconds is not None and not 0 < bin_seconds < math.inf:
+        raise ValueError(
+            f"bin_seconds must be positive and finite, got {bin_seconds}")
     arrivals = np.array(record.arrivals_since_t1(), dtype=float)
     if arrivals.size == 0:
         return np.array([]), np.array([])
     if bin_seconds is None:
         counts = np.arange(1, arrivals.size + 1, dtype=float)
         return arrivals, counts
-    if bin_seconds <= 0:
-        raise ValueError("bin_seconds must be positive")
     last = arrivals.max()
     n_bins = int(np.floor(last / bin_seconds)) + 1
     edges = np.arange(n_bins + 1, dtype=float) * bin_seconds

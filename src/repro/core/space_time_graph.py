@@ -49,8 +49,8 @@ class SpaceTimeGraph:
     """
 
     def __init__(self, trace: ContactTrace, delta: float = DEFAULT_DELTA) -> None:
-        if delta <= 0:
-            raise ValueError("delta must be positive")
+        if not 0 < delta < math.inf:  # also rejects NaN
+            raise ValueError(f"delta must be positive and finite, got {delta}")
         self._trace = trace
         self._delta = float(delta)
         self._num_steps = max(1, int(math.ceil(trace.duration / delta)))

@@ -197,3 +197,12 @@ class TestArrivalCurve:
                                  n_explosion=2)
         with pytest.raises(ValueError):
             arrival_curve(record, bin_seconds=0.0)
+
+    @pytest.mark.parametrize("bin_seconds", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("source", [0, 3])  # delivered, undelivered
+    def test_rejects_non_finite_bin(self, diamond_trace, bin_seconds, source):
+        graph = SpaceTimeGraph(diamond_trace, delta=10.0)
+        record = analyze_message(PathEnumerator(graph, k=10), source,
+                                 3 - source, 0.0, n_explosion=2)
+        with pytest.raises(ValueError, match="finite"):
+            arrival_curve(record, bin_seconds=bin_seconds)

@@ -31,6 +31,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SpaceTimeGraph(tiny_trace, delta=0.0)
 
+    @pytest.mark.parametrize("delta", [float("inf"), float("nan")])
+    def test_rejects_non_finite_delta(self, tiny_trace, delta):
+        with pytest.raises(ValueError, match="finite"):
+            SpaceTimeGraph(tiny_trace, delta=delta)
+
     def test_nodes_match_trace(self, graph, tiny_trace):
         assert graph.nodes == tiny_trace.nodes
 
