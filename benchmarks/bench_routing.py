@@ -2,12 +2,12 @@
 """Benchmark: the protocol zoo on the paper dataset stand-ins.
 
 Times one Poisson-workload replay of every registered protocol (the paper
-six through the compatibility wrapper plus the stateful zoo) on the vector
-kernel and the unconstrained DES engine on the benchmark-scale primary
-dataset, and records the delivery /
-overhead profile (success rate, copies per delivery) so the routing
-subsystem's perf *and* quality trajectory is tracked across PRs.  Medians
-are written to ``BENCH_routing.json`` at the repo root::
+six through the compatibility wrapper plus the stateful zoo) on the
+unconstrained event engine on the benchmark-scale primary dataset, and
+records the delivery / overhead profile (success rate, copies per
+delivery) so the routing subsystem's perf *and* quality trajectory is
+tracked across PRs.  Medians are written to ``BENCH_routing.json`` at the
+repo root::
 
     PYTHONPATH=src python benchmarks/bench_routing.py [--quick]
         [--benchmark-json PATH]
@@ -31,18 +31,19 @@ for path in (_HERE, _HERE.parent / "src"):
 from repro.datasets import load_dataset  # noqa: E402
 from repro.forwarding import PoissonMessageWorkload  # noqa: E402
 from repro.routing import protocol_by_name, protocol_names  # noqa: E402
-from repro.sim import DesSimulator, VectorSimulator  # noqa: E402
+from repro.sim import DesSimulator  # noqa: E402
 
 DEFAULT_BENCHMARK_JSON = _HERE.parent / "BENCH_routing.json"
 
 
-def _time_runs(factory, repeats: int) -> list:
+def _time_runs(factory, repeats: int):
+    """Wall-clock samples of *repeats* calls, and the last call's result."""
     samples = []
     for _ in range(repeats):
         started = time.perf_counter()
-        factory()
+        result = factory()
         samples.append(time.perf_counter() - started)
-    return samples
+    return samples, result
 
 
 def main() -> None:
@@ -63,30 +64,20 @@ def main() -> None:
 
     records = {}
     for name in protocol_names():
-        vector_samples = _time_runs(
-            lambda: VectorSimulator(trace, protocol_by_name(name)).run(messages),
-            repeats)
-        des_samples = _time_runs(
+        samples, result = _time_runs(
             lambda: DesSimulator(trace, protocol_by_name(name)).run(messages),
             repeats)
-        result = VectorSimulator(trace, protocol_by_name(name)).run(messages)
         summary = result.summary()
-        vector_median = statistics.median(vector_samples)
-        des_median = statistics.median(des_samples)
+        median = statistics.median(samples)
         records[name] = {
-            "vector_s": vector_median,
-            "des_unconstrained_s": des_median,
+            "run_s": median,
             "success_rate": summary["success_rate"],
             "copies_sent": summary["copies_sent"],
             "copies_per_delivery": summary["copies_per_delivery"],
-            "samples": {
-                "vector": vector_samples,
-                "des_unconstrained": des_samples,
-            },
+            "samples": {"run": samples},
         }
         overhead = summary["copies_per_delivery"]
-        print(f"  {name:<22s} vector {vector_median * 1e3:8.1f} ms   "
-              f"des {des_median * 1e3:8.1f} ms   "
+        print(f"  {name:<22s} {median * 1e3:8.1f} ms   "
               f"success {summary['success_rate']:5.2f}   "
               f"copies/delivery "
               f"{overhead if overhead is None else round(overhead, 2)}")
