@@ -641,12 +641,8 @@ class PathEnumerator:
                 del store[idx]
 
         # 2. Hand-offs from a post-delivery snapshot, in first-insertion
-        #    order (the reference engine's effective processing order).  An
-        #    ongoing (non-fresh) edge only carries paths that arrived during
-        #    this step, and before the cascade the only such path is the
-        #    root at the first step: everywhere else the edge moves nothing.
-        #    A path that a full store would reject (see _place_fast) is
-        #    dropped here, before it is built.
+        #    order (the reference engine's effective processing order),
+        #    under the fresh-edge and eviction rules (see above).
         frontier: List[Tuple[int, tuple]] = []
         snapshot = [(idx, neighbor_list[idx], list(held))
                     for idx, held in sorted(store.items(),
@@ -684,16 +680,16 @@ class PathEnumerator:
             if not neighbors:
                 continue
             link, mask, _, hop_count = entry
-            hop_count += 1
+            new_hops = hop_count + 1
             for peer_idx, _ in neighbors:
                 peer_bit = 1 << peer_idx
                 if peer_idx == dst_idx or mask & peer_bit:
                     continue
                 worst = cap_cache.get(peer_idx)
-                if worst is not None and worst[0] <= hop_count:
+                if worst is not None and worst[0] <= new_hops:
                     continue
                 new_entry = ((link, node_of[peer_idx], arrival_time),
-                             mask | peer_bit, step, hop_count)
+                             mask | peer_bit, step, new_hops)
                 delivered += place(
                     store, first_slot, cap_cache, emitted, new_entry,
                     peer_idx, dest_mask, arrival_time, step, destination,

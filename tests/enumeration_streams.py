@@ -40,11 +40,10 @@ KS = (200, 7)
 
 @functools.lru_cache(maxsize=None)
 def inputs(dataset: str):
-    """``(graph, messages)`` of one dataset stand-in, step tables built."""
+    """``(graph, messages)`` of one dataset stand-in."""
     trace = load_dataset(dataset, scale=SCALE, contact_scale=SCALE)
-    graph = SpaceTimeGraph(trace)
-    graph.step_tables()
-    return graph, random_messages(trace, NUM_MESSAGES, seed=MESSAGE_SEED)
+    return (SpaceTimeGraph(trace),
+            random_messages(trace, NUM_MESSAGES, seed=MESSAGE_SEED))
 
 
 def case_key(dataset: str, k: int) -> str:
@@ -70,10 +69,10 @@ def entry(result) -> Dict[str, object]:
             "steps_processed": result.steps_processed}
 
 
-def run_case(dataset: str, k: int, engine: str = "fast") -> List[Dict[str, object]]:
-    """The entries of every message of one case, in message order."""
+def run_case(dataset: str, k: int) -> List[Dict[str, object]]:
+    """The fast engine's entries for every message of one case, in order."""
     graph, messages = inputs(dataset)
-    enumerator = PathEnumerator(graph, k=k, engine=engine)
+    enumerator = PathEnumerator(graph, k=k)
     return [entry(enumerator.enumerate(source, destination, created,
                                        max_total_deliveries=k))
             for source, destination, created in messages]
